@@ -28,7 +28,7 @@ from repro.bench import (
     COLLECTIVES_BYTES_RATIO_FLOOR,
     COLLECTIVES_HOPS_DELTA_FLOOR,
     run_collectives_bench,
-    write_collectives_bench,
+    write_bench,
 )
 
 pytestmark = pytest.mark.perf
@@ -40,7 +40,7 @@ class TestCollectiveGates:
     @pytest.fixture(scope="class")
     def bench(self):
         data = run_collectives_bench()
-        write_collectives_bench(BENCH_PATH, data)
+        write_bench(BENCH_PATH, data)
         return data
 
     def test_flat_identity_on_every_app(self, bench):

@@ -27,7 +27,7 @@ from repro.bench import (
     CRITPATH_MATCH_SPEEDUP_TARGET,
     CRITPATH_SENSITIVITY_REL_TOL,
     run_critpath_bench,
-    write_critpath_bench,
+    write_bench,
 )
 
 pytestmark = pytest.mark.perf
@@ -39,7 +39,7 @@ class TestCritpathGates:
     @pytest.fixture(scope="class")
     def bench(self):
         data = run_critpath_bench()
-        write_critpath_bench(BENCH_PATH, data)
+        write_bench(BENCH_PATH, data)
         return data
 
     def test_workload_is_the_benchmark_regime(self, bench):

@@ -21,7 +21,7 @@ import pytest
 from repro.bench import (
     FRONT_END_TARGET,
     run_pipeline_bench,
-    write_pipeline_bench,
+    write_bench,
 )
 
 pytestmark = pytest.mark.perf
@@ -36,7 +36,7 @@ MAPPING_TARGET = 3.0
 class TestFrontEndSpeedup:
     def test_columnar_front_end_geomean_5x(self):
         data = run_pipeline_bench(min_ranks=1000, mapping=True)
-        write_pipeline_bench(BENCH_PATH, data)
+        write_bench(BENCH_PATH, data)
 
         summary = data["summary"]
         assert summary["configs"] >= 10

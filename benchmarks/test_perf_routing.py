@@ -22,7 +22,7 @@ from repro.bench import (
     CACHE_SPEEDUP_TARGET,
     ROUTING_SLOWDOWN_CEILING,
     run_routing_bench,
-    write_routing_bench,
+    write_bench,
 )
 
 pytestmark = pytest.mark.perf
@@ -33,7 +33,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_routing.json"
 class TestRoutingThroughput:
     def test_slowdown_ceiling_and_cache_speedup(self):
         data = run_routing_bench(ranks=1728, pairs=100_000)
-        write_routing_bench(BENCH_PATH, data)
+        write_bench(BENCH_PATH, data)
 
         summary = data["summary"]
         for name, slowdown in summary["slowdown_vs_minimal"].items():

@@ -21,7 +21,7 @@ from repro.bench import (
     SCALE_RANKS,
     SCALE_RSS_BUDGET_MB,
     run_scale_bench,
-    write_scale_bench,
+    write_bench,
 )
 
 pytestmark = pytest.mark.perf
@@ -41,7 +41,7 @@ class TestScaleStreaming:
             budget_mb=SCALE_RSS_BUDGET_MB,
             rlimit_gb=RLIMIT_GB,
         )
-        write_scale_bench(BENCH_PATH, data)
+        write_bench(BENCH_PATH, data)
 
         summary = data["summary"]
         scale = data["scale"]

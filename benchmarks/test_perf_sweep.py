@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import run_sweep_bench, write_sweep_bench
+from repro.bench import run_sweep_bench, write_bench
 
 pytestmark = pytest.mark.perf
 
@@ -26,7 +26,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 @pytest.fixture(scope="module")
 def sweep_bench():
     data = run_sweep_bench()
-    write_sweep_bench(BENCH_PATH, data)
+    write_bench(BENCH_PATH, data)
     return data
 
 

@@ -24,7 +24,7 @@ import pytest
 from repro.bench import (
     TENANCY_VICTIM_LOAD_REDUCTION_TARGET,
     run_tenancy_bench,
-    write_tenancy_bench,
+    write_bench,
 )
 
 pytestmark = pytest.mark.perf
@@ -36,7 +36,7 @@ class TestTenancyGates:
     @pytest.fixture(scope="class")
     def bench(self):
         data = run_tenancy_bench()
-        write_tenancy_bench(BENCH_PATH, data)
+        write_bench(BENCH_PATH, data)
         return data
 
     def test_workload_is_the_benchmark_regime(self, bench):

@@ -51,6 +51,8 @@ def build_figure1(
     app: str = "LULESH", ranks: int = 64, rank: int = 0, seed: int = 0
 ) -> Figure1Series:
     """The paper's illustration: LULESH rank 0 partner volumes."""
+    if not 0 <= rank < ranks:
+        raise ValueError(f"rank {rank} out of range for {ranks} ranks")
     trace = cached_trace(app, ranks, seed=seed)
     matrix = cached_matrix(trace, include_collectives=False)
     return Figure1Series(app, ranks, rank, partner_volumes(matrix, rank))

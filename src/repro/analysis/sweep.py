@@ -28,27 +28,42 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 from ..cache import cached_mapping, cached_matrix, cached_trace
 from ..collectives.registry import COLLECTIVES
 from ..mapping.base import Mapping
 from ..model.engine import BANDWIDTH_BYTES_PER_S, analyze_network
 from ..routing import ROUTINGS
-from ..topology.configs import config_for
+from ..topology.configs import TOPOLOGY_KINDS, build_topology
 
-__all__ = ["SweepSpec", "run_sweep", "unique_points"]
+__all__ = ["Scenario", "SweepSpec", "run_sweep", "unique_points"]
 
 _log = logging.getLogger("repro.sweep")
 
-_TOPOLOGY_BUILDERS = {
-    "torus3d": lambda cfg: cfg.build_torus(),
-    "fattree": lambda cfg: cfg.build_fat_tree(),
-    "dragonfly": lambda cfg: cfg.build_dragonfly(),
-}
-
 _MAPPING_METHODS = ("consecutive", "random", "greedy", "spectral", "bisection")
+
+
+class Scenario(NamedTuple):
+    """One grid point: the per-cell value of every axis a point carries.
+
+    A named tuple, so it hashes (duplicate-cell collapse), pickles (process
+    pools) and travels to service workers as a plain JSON list.
+    """
+
+    app: str
+    ranks: int
+    payload: int
+    topology: str
+    mapping: str
+    routing: str
+    collective: str
+
+
+def _axis(default: tuple, point: bool = True) -> Any:
+    """A spec axis; each :class:`Scenario` carries one value of a ``point`` axis."""
+    return field(default=default, metadata={"point": point})
 
 
 @dataclass(frozen=True)
@@ -56,19 +71,21 @@ class SweepSpec:
     """The axes of one sweep.
 
     ``apps`` are (name, ranks) pairs; the other axes cross-product against
-    them.  ``include_collectives`` mirrors the §5 (False) vs §6 (True)
-    analysis modes.
+    them.  The point axes expand into :class:`Scenario` fields;
+    ``bandwidths`` loops inside each point, and the scalar fields shape
+    every point's records.  ``include_collectives`` mirrors the §5
+    (False) vs §6 (True) analysis modes.
     """
 
-    apps: tuple[tuple[str, int], ...] = (("LULESH", 64),)
-    topologies: tuple[str, ...] = ("torus3d", "fattree", "dragonfly")
-    mappings: tuple[str, ...] = ("consecutive",)
-    payloads: tuple[int, ...] = (4096,)
-    bandwidths: tuple[float, ...] = (BANDWIDTH_BYTES_PER_S,)
-    routings: tuple[str, ...] = ("minimal",)
+    apps: tuple[tuple[str, int], ...] = _axis((("LULESH", 64),))
+    topologies: tuple[str, ...] = _axis(TOPOLOGY_KINDS)
+    mappings: tuple[str, ...] = _axis(("consecutive",))
+    payloads: tuple[int, ...] = _axis((4096,))
+    bandwidths: tuple[float, ...] = _axis((BANDWIDTH_BYTES_PER_S,), point=False)
+    routings: tuple[str, ...] = _axis(("minimal",))
     #: Collective-algorithm engines to cross (``repro.collectives``
     #: registry names); ``flat`` is the paper's expansion.
-    collectives: tuple[str, ...] = ("flat",)
+    collectives: tuple[str, ...] = _axis(("flat",))
     include_collectives: bool = True
     seed: int = 0
     #: Opt-in telemetry axis: when True every point also runs the dynamic
@@ -87,6 +104,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.apps:
             raise ValueError("sweep needs at least one (app, ranks) pair")
+        for f in fields(self):
+            if "point" in f.metadata and not getattr(self, f.name):
+                raise ValueError(f"sweep axis {f.name!r} is empty")
         if self.telemetry_windows < 1:
             raise ValueError("telemetry_windows must be >= 1")
         if not 0.0 < self.telemetry_threshold <= 1.0:
@@ -95,18 +115,15 @@ class SweepSpec:
             raise ValueError("sim_volume_scale must be positive")
         if self.critpath_max_repeat < 1:
             raise ValueError("critpath_max_repeat must be >= 1")
-        unknown = set(self.topologies) - set(_TOPOLOGY_BUILDERS)
-        if unknown:
-            raise ValueError(f"unknown topologies {sorted(unknown)}")
-        unknown = set(self.mappings) - set(_MAPPING_METHODS)
-        if unknown:
-            raise ValueError(f"unknown mapping methods {sorted(unknown)}")
-        unknown = set(self.routings) - set(ROUTINGS)
-        if unknown:
-            raise ValueError(f"unknown routing policies {sorted(unknown)}")
-        unknown = set(self.collectives) - set(COLLECTIVES)
-        if unknown:
-            raise ValueError(f"unknown collective algorithms {sorted(unknown)}")
+        for values, known, what in (
+            (self.topologies, TOPOLOGY_KINDS, "topologies"),
+            (self.mappings, _MAPPING_METHODS, "mapping methods"),
+            (self.routings, ROUTINGS, "routing policies"),
+            (self.collectives, COLLECTIVES, "collective algorithms"),
+        ):
+            unknown = set(values) - set(known)
+            if unknown:
+                raise ValueError(f"unknown {what} {sorted(unknown)}")
         if any(p <= 0 for p in self.payloads):
             raise ValueError("payloads must be positive")
         if any(b <= 0 for b in self.bandwidths):
@@ -114,32 +131,23 @@ class SweepSpec:
 
     @property
     def num_points(self) -> int:
-        return (
-            len(self.apps)
-            * len(self.topologies)
-            * len(self.mappings)
-            * len(self.payloads)
-            * len(self.routings)
-            * len(self.collectives)
-            * len(self.bandwidths)
-        )
+        """Records the grid spans: one per (point, bandwidth)."""
+        return len(self.points()) * len(self.bandwidths)
 
-    def points(self) -> list[tuple[str, int, int, str, str, str, str]]:
+    def points(self) -> list[Scenario]:
         """The grid in canonical evaluation order (bandwidths loop inside)."""
         return [
-            (app, ranks, payload, topo_kind, mapping_method, routing, collective)
+            Scenario(app, ranks, payload, topology, mapping, routing, collective)
             for app, ranks in self.apps
             for payload in self.payloads
-            for topo_kind in self.topologies
-            for mapping_method in self.mappings
+            for topology in self.topologies
+            for mapping in self.mappings
             for routing in self.routings
             for collective in self.collectives
         ]
 
 
-def unique_points(
-    spec: SweepSpec,
-) -> tuple[list[tuple[str, int, int, str, str, str, str]], int]:
+def unique_points(spec: SweepSpec) -> tuple[list[Scenario], int]:
     """The grid with duplicate cells collapsed, plus the collapsed count.
 
     Duplicate axis values (``apps=(("LULESH", 64), ("LULESH", 64))``) used
@@ -150,7 +158,7 @@ def unique_points(
     shared site — so the direct API and the service path (``repro
     submit`` via ``expand_cells``) both surface it.
     """
-    seen: set[tuple] = set()
+    seen: set[Scenario] = set()
     points = []
     for point in spec.points():
         if point in seen:
@@ -183,32 +191,28 @@ def _build_mapping(method: str, matrix, topology, seed: int) -> Mapping:
     return cached_mapping(matrix, topology, method=method, seed=seed)
 
 
-def _eval_point(
-    spec: SweepSpec, point: tuple[str, int, int, str, str, str, str]
-) -> list[dict[str, Any]]:
+def _eval_point(spec: SweepSpec, point: Scenario) -> list[dict[str, Any]]:
     """Evaluate one grid point — a pure function of (spec, point).
 
     Runs in the parent process for ``workers=1`` and in pool workers
     otherwise; all heavy intermediates go through the process-local
     :mod:`repro.cache`, so points sharing an app/payload rebuild nothing.
     """
-    app, ranks, payload, topo_kind, mapping_method, routing, collective = point
-    trace = cached_trace(app, ranks, seed=spec.seed)
+    trace = cached_trace(point.app, point.ranks, seed=spec.seed)
     matrix = cached_matrix(
         trace,
         include_collectives=spec.include_collectives,
-        payload=payload,
-        collective=collective,
+        payload=point.payload,
+        collective=point.collective,
     )
-    cfg = config_for(ranks)
-    topology = _TOPOLOGY_BUILDERS[topo_kind](cfg)
-    mapping = _build_mapping(mapping_method, matrix, topology, spec.seed)
+    topology = build_topology(point.topology, point.ranks)
+    mapping = _build_mapping(point.mapping, matrix, topology, spec.seed)
     critpath_fields: dict[str, Any] = {}
     if spec.critpath:
         # Independent of payload and bandwidth: computed once per point and
         # merged into every bandwidth record.
         critpath_fields = _critpath_fields(
-            spec, trace, topology, mapping, routing, collective
+            spec, trace, topology, mapping, point.routing, point.collective
         )
     records = []
     for bandwidth in spec.bandwidths:
@@ -218,18 +222,18 @@ def _eval_point(
             mapping=mapping,
             execution_time=trace.meta.execution_time,
             bandwidth=bandwidth,
-            payload=payload,
-            routing=routing,
+            payload=point.payload,
+            routing=point.routing,
             routing_seed=spec.seed,
         )
         record = {
-            "app": app,
-            "ranks": ranks,
-            "topology": topo_kind,
-            "mapping": mapping_method,
-            "routing": routing,
-            "collective": collective,
-            "payload": payload,
+            "app": point.app,
+            "ranks": point.ranks,
+            "topology": point.topology,
+            "mapping": point.mapping,
+            "routing": point.routing,
+            "collective": point.collective,
+            "payload": point.payload,
             "bandwidth": bandwidth,
             "packet_hops": result.packet_hops,
             "avg_hops": round(result.avg_hops, 4),
@@ -240,7 +244,7 @@ def _eval_point(
             record.update(
                 _telemetry_fields(
                     spec, matrix, topology, mapping, trace, bandwidth,
-                    payload, routing,
+                    point.payload, point.routing,
                 )
             )
         record.update(critpath_fields)
@@ -323,7 +327,7 @@ def _telemetry_fields(
 
 
 def _eval_chunk(
-    spec: SweepSpec, chunk: list[tuple[str, int, int, str, str, str, str]]
+    spec: SweepSpec, chunk: list[Scenario]
 ) -> list[list[dict[str, Any]]]:
     """Evaluate a contiguous run of grid points in one worker process."""
     return [_eval_point(spec, point) for point in chunk]

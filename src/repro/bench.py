@@ -55,31 +55,24 @@ import numpy as np
 from . import timings
 
 __all__ = [
+    "write_bench",
     "run_pipeline_bench",
-    "write_pipeline_bench",
     "render_pipeline_bench",
     "run_routing_bench",
-    "write_routing_bench",
     "render_routing_bench",
     "run_telemetry_bench",
-    "write_telemetry_bench",
     "render_telemetry_bench",
     "run_scale_pipeline",
     "run_scale_bench",
-    "write_scale_bench",
     "render_scale_bench",
     "sweep_bench_spec",
     "run_sweep_bench",
-    "write_sweep_bench",
     "render_sweep_bench",
     "run_tenancy_bench",
-    "write_tenancy_bench",
     "render_tenancy_bench",
     "run_critpath_bench",
-    "write_critpath_bench",
     "render_critpath_bench",
     "run_collectives_bench",
-    "write_collectives_bench",
     "render_collectives_bench",
 ]
 
@@ -162,6 +155,13 @@ CRITPATH_MATCH_WORKLOAD = ("AMG", 1728)
 COLLECTIVES_DELTA_WORKLOAD = ("CMC_2D", 64)
 COLLECTIVES_BYTES_RATIO_FLOOR = 1.5
 COLLECTIVES_HOPS_DELTA_FLOOR = 0.10
+
+
+def write_bench(path: str | Path, data: dict[str, Any]) -> Path:
+    """Write one ``repro bench`` record as sorted, indented JSON."""
+    path = Path(path)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _stage_seconds() -> dict[str, float]:
@@ -299,14 +299,9 @@ def run_routing_bench(
     """
     from . import cache
     from .routing import ROUTINGS, get_policy
-    from .topology.configs import config_for
+    from .topology.configs import build_all
 
-    cfg = config_for(ranks)
-    topologies = {
-        "torus3d": cfg.build_torus(),
-        "fattree": cfg.build_fat_tree(),
-        "dragonfly": cfg.build_dragonfly(),
-    }
+    topologies = build_all(ranks)
     rng = np.random.default_rng(seed)
     per_topology: dict[str, Any] = {}
     slowdowns: dict[str, list[float]] = {name: [] for name in ROUTINGS}
@@ -469,12 +464,6 @@ def run_telemetry_bench(
     }
 
 
-def write_telemetry_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_telemetry_bench(data: dict[str, Any]) -> str:
     o = data["overhead"]
     lines = [
@@ -497,12 +486,6 @@ def render_telemetry_bench(data: dict[str, Any]) -> str:
             f"{rec['longest_region_s']:>11.2e} {rec['hot_windows']:>8}"
         )
     return "\n".join(lines)
-
-
-def write_routing_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_routing_bench(data: dict[str, Any]) -> str:
@@ -532,12 +515,6 @@ def render_routing_bench(data: dict[str, Any]) -> str:
         f"(target >= {summary['cache_speedup_target']}x)"
     )
     return "\n".join(lines)
-
-
-def write_pipeline_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_pipeline_bench(data: dict[str, Any]) -> str:
@@ -938,12 +915,6 @@ def run_sweep_bench(
     }
 
 
-def write_sweep_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_sweep_bench(data: dict[str, Any]) -> str:
     s = data["summary"]
     lines = [
@@ -967,12 +938,6 @@ def render_sweep_bench(data: dict[str, Any]) -> str:
         f"records identical: {s['records_identical']}"
     )
     return "\n".join(lines)
-
-
-def write_scale_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_scale_bench(data: dict[str, Any]) -> str:
@@ -1138,12 +1103,6 @@ def run_tenancy_bench() -> dict[str, Any]:
     }
 
 
-def write_tenancy_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_tenancy_bench(data: dict[str, Any]) -> str:
     s = data["summary"]
     sc = data["scenario"]
@@ -1247,12 +1206,6 @@ def run_critpath_bench() -> dict[str, Any]:
             "sensitivity_ok": max_rel_err <= CRITPATH_SENSITIVITY_REL_TOL,
         },
     }
-
-
-def write_critpath_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_critpath_bench(data: dict[str, Any]) -> str:
@@ -1380,12 +1333,6 @@ def run_collectives_bench() -> dict[str, Any]:
             "hops_delta_ok": hops_delta >= COLLECTIVES_HOPS_DELTA_FLOOR,
         },
     }
-
-
-def write_collectives_bench(path: str | Path, data: dict[str, Any]) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_collectives_bench(data: dict[str, Any]) -> str:

@@ -73,6 +73,9 @@ _COLLECTIVE_CHOICES = (
     "flat", "binomial", "ring", "recursive_doubling", "bine"
 )
 
+#: Kept literal (matching repro.topology.configs.TOPOLOGY_KINDS) likewise.
+_TOPOLOGY_CHOICES = ("torus3d", "fattree", "dragonfly")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -119,6 +122,85 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default: paper-style text)",
         )
 
+    def add_workload(p: argparse.ArgumentParser, required: bool) -> None:
+        if required:
+            p.add_argument("--app", required=True)
+            p.add_argument("--ranks", type=int, required=True)
+        else:
+            p.add_argument("--app", default="LULESH")
+            p.add_argument("--ranks", type=int, default=64)
+
+    def add_topology(
+        p: argparse.ArgumentParser, extra: tuple[str, ...] = (), help=None
+    ) -> None:
+        p.add_argument(
+            "--topology", default="torus3d",
+            choices=_TOPOLOGY_CHOICES + extra, help=help,
+        )
+
+    def add_routing(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--routing", default="minimal", choices=_ROUTING_CHOICES,
+            help="routing policy carrying the traffic (default: minimal)",
+        )
+        p.add_argument(
+            "--routing-seed", type=int, default=0,
+            help="seed for randomized policies (ecmp/valiant/ugal)",
+        )
+
+    def add_collective(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--collective-algo", default="flat", choices=_COLLECTIVE_CHOICES,
+            help="collective-algorithm engine expanding collectives to "
+            "point-to-point traffic (default: flat, the paper's expansion)",
+        )
+
+    def add_simulation(p: argparse.ArgumentParser, telemetry: bool) -> None:
+        if telemetry:
+            p.add_argument(
+                "--windows", type=int, default=48,
+                help="telemetry windows in the occupancy series (default: 48)",
+            )
+            p.add_argument(
+                "--threshold", type=float, default=0.7,
+                help="hot-link occupancy fraction for region detection "
+                "(default: 0.7)",
+            )
+        p.add_argument(
+            "--volume-scale", type=float, default=1.0,
+            help="simulate 1/k of the volume at 1/k bandwidth (for big traces)",
+        )
+        p.add_argument(
+            "--engine", default="auto", choices=("auto", "batched", "reference"),
+            help="simulation kernel (all bit-identical; default picks by load)",
+        )
+
+    def add_axes(p: argparse.ArgumentParser) -> None:
+        """The grid-axis flags ``sweep`` and ``submit`` share."""
+        add_workload(p, required=False)
+        p.add_argument(
+            "--topologies", default=",".join(_TOPOLOGY_CHOICES),
+            help="comma-separated topology kinds",
+        )
+        p.add_argument(
+            "--mappings", default="consecutive",
+            help="comma-separated mapping methods",
+        )
+        p.add_argument(
+            "--routings", default="minimal",
+            help=f"comma-separated routing policies ({', '.join(_ROUTING_CHOICES)})",
+        )
+        p.add_argument(
+            "--payloads", default="4096", help="comma-separated packet payloads"
+        )
+        p.add_argument(
+            "--collectives", default="flat",
+            help="comma-separated collective-algorithm engines "
+            f"({', '.join(_COLLECTIVE_CHOICES)})",
+        )
+        p.add_argument("--seed", type=int, default=0)
+        add_format(p)
+
     t1 = sub.add_parser("table1", help="application overview (Table 1)")
     add_max_ranks(t1)
     add_format(t1)
@@ -132,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(t4)
 
     f1 = sub.add_parser("figure1", help="per-partner volumes of one rank (Figure 1)")
-    f1.add_argument("--app", default="LULESH")
-    f1.add_argument("--ranks", type=int, default=64)
+    add_workload(f1, required=False)
     f1.add_argument("--rank", type=int, default=0)
 
     add_max_ranks(sub.add_parser("figure3", help="selectivity curves (Figure 3)"))
@@ -157,54 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     hm = sub.add_parser("heatmap", help="ASCII communication heat map")
-    hm.add_argument("--app", required=True)
-    hm.add_argument("--ranks", type=int, required=True)
+    add_workload(hm, required=True)
     hm.add_argument("--bins", type=int, default=32)
 
-    def add_routing(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--routing", default="minimal", choices=_ROUTING_CHOICES,
-            help="routing policy carrying the traffic (default: minimal)",
-        )
-        p.add_argument(
-            "--routing-seed", type=int, default=0,
-            help="seed for randomized policies (ecmp/valiant/ugal)",
-        )
-
-    def add_collective(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--collective-algo", default="flat", choices=_COLLECTIVE_CHOICES,
-            help="collective-algorithm engine expanding collectives to "
-            "point-to-point traffic (default: flat, the paper's expansion)",
-        )
-
     sl = sub.add_parser("slack", help="per-link bandwidth slack (paper \u00a77)")
-    sl.add_argument("--app", required=True)
-    sl.add_argument("--ranks", type=int, required=True)
-    sl.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
-    )
+    add_workload(sl, required=True)
+    add_topology(sl)
     add_routing(sl)
     add_collective(sl)
 
     sm = sub.add_parser(
         "simulate", help="dynamic packet-level simulation vs the static model"
     )
-    sm.add_argument("--app", required=True)
-    sm.add_argument("--ranks", type=int, required=True)
-    sm.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
-    )
-    sm.add_argument(
-        "--volume-scale", type=float, default=1.0,
-        help="simulate 1/k of the volume at 1/k bandwidth (for big traces)",
-    )
-    sm.add_argument(
-        "--engine", default="auto", choices=("auto", "batched", "reference"),
-        help="simulation kernel (all bit-identical; default picks by load)",
-    )
+    add_workload(sm, required=True)
+    add_topology(sm)
+    add_simulation(sm, telemetry=False)
     add_routing(sm)
     add_collective(sm)
 
@@ -212,28 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry",
         help="windowed link telemetry and congestion-region analysis",
     )
-    tm.add_argument("--app", required=True)
-    tm.add_argument("--ranks", type=int, required=True)
-    tm.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
-    )
-    tm.add_argument(
-        "--windows", type=int, default=48,
-        help="number of time windows in the occupancy series (default: 48)",
-    )
-    tm.add_argument(
-        "--threshold", type=float, default=0.7,
-        help="hot-link occupancy fraction for region detection (default: 0.7)",
-    )
-    tm.add_argument(
-        "--volume-scale", type=float, default=1.0,
-        help="simulate 1/k of the volume at 1/k bandwidth (for big traces)",
-    )
-    tm.add_argument(
-        "--engine", default="auto", choices=("auto", "batched", "reference"),
-        help="simulation kernel (all bit-identical; default picks by load)",
-    )
+    add_workload(tm, required=True)
+    add_topology(tm)
+    add_simulation(tm, telemetry=True)
     tm.add_argument(
         "--compare", default=None, metavar="POLICIES",
         help="comma-separated routing policies to contrast on this traffic "
@@ -267,26 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--alloc-seed", type=int, default=0,
         help="seed for the random allocation policy",
     )
-    cm.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly"),
-    )
-    cm.add_argument(
-        "--windows", type=int, default=48,
-        help="telemetry windows for congestion-region detection (default: 48)",
-    )
-    cm.add_argument(
-        "--threshold", type=float, default=0.7,
-        help="hot-link occupancy fraction for region detection (default: 0.7)",
-    )
-    cm.add_argument(
-        "--volume-scale", type=float, default=1.0,
-        help="simulate 1/k of the volume at 1/k bandwidth (for big traces)",
-    )
-    cm.add_argument(
-        "--engine", default="auto", choices=("auto", "batched", "reference"),
-        help="simulation kernel (all bit-identical; default picks by load)",
-    )
+    add_topology(cm)
+    add_simulation(cm, telemetry=True)
     cm.add_argument(
         "--seed", type=int, default=0,
         help="trace-generation seed shared by every tenant",
@@ -297,17 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
         "critpath",
         help="critical path and latency tolerance under the LogGP model",
     )
-    cp.add_argument("--app", default="LULESH")
-    cp.add_argument("--ranks", type=int, default=64)
+    add_workload(cp, required=False)
     cp.add_argument(
         "--table", action="store_true",
         help="latency-tolerance table over every registry app "
         "(smallest configurations) instead of one workload",
     )
     add_max_ranks(cp)
-    cp.add_argument(
-        "--topology", default="torus3d",
-        choices=("torus3d", "fattree", "dragonfly", "none"),
+    add_topology(
+        cp, extra=("none",),
         help="'none' models a zero-diameter network (no per-hop term)",
     )
     cp.add_argument(
@@ -341,28 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser(
         "sweep", help="cross a custom parameter grid (incl. routing policies)"
     )
-    sw.add_argument("--app", default="LULESH")
-    sw.add_argument("--ranks", type=int, default=64)
-    sw.add_argument(
-        "--topologies", default="torus3d,fattree,dragonfly",
-        help="comma-separated topology kinds",
-    )
-    sw.add_argument(
-        "--mappings", default="consecutive",
-        help="comma-separated mapping methods",
-    )
-    sw.add_argument(
-        "--routings", default="minimal",
-        help=f"comma-separated routing policies ({', '.join(_ROUTING_CHOICES)})",
-    )
-    sw.add_argument(
-        "--payloads", default="4096", help="comma-separated packet payloads"
-    )
-    sw.add_argument(
-        "--collectives", default="flat",
-        help="comma-separated collective-algorithm engines "
-        f"({', '.join(_COLLECTIVE_CHOICES)})",
-    )
+    add_axes(sw)
     sw.add_argument(
         "--workers", type=int, default=1,
         help="evaluate grid points in this many processes",
@@ -377,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also build each point's happens-before DAG and merge the "
         "LogGP critical path and latency sensitivity into the records",
     )
-    sw.add_argument("--seed", type=int, default=0)
-    add_format(sw)
 
     def add_service(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -411,38 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a sweep grid to a running service"
     )
     add_service(sb)
-    sb.add_argument("--app", default="LULESH")
-    sb.add_argument("--ranks", type=int, default=64)
+    add_axes(sb)
     sb.add_argument(
         "--apps", default=None, metavar="NAME:RANKS,...",
         help="multi-app grid, e.g. LULESH:64,AMG:216 (overrides --app/--ranks)",
     )
     sb.add_argument(
-        "--topologies", default="torus3d,fattree,dragonfly",
-        help="comma-separated topology kinds",
-    )
-    sb.add_argument(
-        "--mappings", default="consecutive",
-        help="comma-separated mapping methods",
-    )
-    sb.add_argument(
-        "--routings", default="minimal",
-        help=f"comma-separated routing policies ({', '.join(_ROUTING_CHOICES)})",
-    )
-    sb.add_argument(
-        "--payloads", default="4096", help="comma-separated packet payloads"
-    )
-    sb.add_argument(
-        "--collectives", default="flat",
-        help="comma-separated collective-algorithm engines "
-        f"({', '.join(_COLLECTIVE_CHOICES)})",
-    )
-    sb.add_argument("--seed", type=int, default=0)
-    sb.add_argument(
         "--wait", action="store_true",
         help="stream progress until done, then print the records",
     )
-    add_format(sb)
 
     jb = sub.add_parser(
         "jobs", help="list service jobs (or stats / cancel / shutdown)"
@@ -478,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--out", default=None, help="output path (default: stdout)")
 
     tr = sub.add_parser("trace", help="generate and serialize one trace")
-    tr.add_argument("--app", required=True)
-    tr.add_argument("--ranks", type=int, required=True)
+    add_workload(tr, required=True)
     tr.add_argument("--variant", default="")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -502,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated application names to check (default: all)",
     )
     ck.add_argument(
-        "--topologies", default="torus3d,fattree,dragonfly",
+        "--topologies", default=",".join(_TOPOLOGY_CHOICES),
         help="comma-separated topology kinds to check",
     )
     ck.add_argument(
@@ -641,8 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     # Imports deferred so --help stays fast.
-    from . import analysis, timings
-    from .apps.registry import APPS, generate_trace
+    from . import timings
 
     try:
         if args.cache_dir:
@@ -651,41 +612,153 @@ def main(argv: list[str] | None = None) -> int:
             cache.configure(disk_dir=args.cache_dir)
         if args.timings:
             timings.enable()
-            try:
-                return _run_command(args, analysis, APPS, generate_trace)
-            finally:
+        try:
+            code = _run_command(args)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+            return code
+        finally:
+            if args.timings:
                 print(timings.summary(), file=sys.stderr)
-        return _run_command(args, analysis, APPS, generate_trace)
     except _USER_ERRORS as exc:
         # KeyError carries its message as the single arg; str(exc) would
         # wrap it in quotes.
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout closed early (e.g. piped through `head`) — not a failure.
+        # Point stdout at devnull so the interpreter's exit-time flush of
+        # the dead pipe doesn't print a spurious traceback.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
-def _run_command(args, analysis, APPS, generate_trace) -> int:
+def _split(value: str, flag: str) -> tuple[str, ...]:
+    """A comma-separated flag value as a non-empty tuple of items."""
+    items = tuple(s.strip() for s in value.split(",") if s.strip())
+    if not items:
+        raise ValueError(f"{flag} needs at least one comma-separated value")
+    return items
 
-    def emit(records, text):
-        if getattr(args, "format", "text") == "csv":
-            sys.stdout.write(analysis.rows_to_csv(records))
-        elif getattr(args, "format", "text") == "json":
-            print(analysis.rows_to_json(records))
-        else:
-            print(text)
+
+def _app_ranks(value: str, flag: str) -> tuple[tuple[str, int], ...]:
+    """Parse an ``APP:RANKS,...`` flag value into (name, ranks) pairs."""
+    pairs = []
+    for item in _split(value, flag):
+        name, _, ranks = item.rpartition(":")
+        if not name or not ranks.isdigit():
+            raise ValueError(f"{flag} entries are APP:RANKS, got {item!r}")
+        pairs.append((name, int(ranks)))
+    return tuple(pairs)
+
+
+def _sweep_spec(args, apps, **fields):
+    """The :class:`SweepSpec` of the grid-axis flags ``sweep``/``submit`` share."""
+    from .analysis.sweep import SweepSpec
+
+    return SweepSpec(
+        apps=apps,
+        topologies=_split(args.topologies, "--topologies"),
+        mappings=_split(args.mappings, "--mappings"),
+        routings=_split(args.routings, "--routings"),
+        payloads=tuple(int(p) for p in _split(args.payloads, "--payloads")),
+        collectives=_split(args.collectives, "--collectives"),
+        seed=args.seed,
+        **fields,
+    )
+
+
+def _traffic(args):
+    """The trace, traffic matrix and topology ``--app/--ranks`` commands use."""
+    from .apps.registry import generate_trace
+    from .comm.matrix import matrix_from_trace
+    from .topology.configs import build_topology
+
+    trace = generate_trace(args.app, args.ranks)
+    matrix = matrix_from_trace(trace, collective=args.collective_algo)
+    return trace, matrix, build_topology(args.topology, args.ranks)
+
+
+def _emit(args, records, text: str) -> None:
+    """Print ``records`` as ``--format`` csv/json asks, else ``text``."""
+    from . import analysis
+
+    fmt = getattr(args, "format", "text")
+    if fmt == "csv":
+        sys.stdout.write(analysis.rows_to_csv(records))
+    elif fmt == "json":
+        print(analysis.rows_to_json(records))
+    else:
+        print(text)
+
+
+def _records_text(records, per_app: bool) -> str:
+    """Sweep records as a text table; ``per_app`` adds app/ranks columns."""
+    lines = [
+        (f"{'app':<12} {'ranks':>6} " if per_app else "")
+        + f"{'topology':<10} {'mapping':<12} {'routing':<8} "
+        f"{'collective':<10} {'payload':>7} {'avg hops':>9} "
+        f"{'util %':>10} {'links':>7}"
+    ]
+    for r in records:
+        lines.append(
+            (f"{r['app']:<12} {r['ranks']:>6} " if per_app else "")
+            + f"{r['topology']:<10} {r['mapping']:<12} {r['routing']:<8} "
+            f"{r.get('collective', 'flat'):<10} {r['payload']:>7} "
+            f"{r['avg_hops']:>9.3f} {r['utilization_percent']:>10.5f} "
+            f"{r['used_links']:>7}"
+        )
+    return "\n".join(lines)
+
+
+def _bench_targets(bench):
+    """``repro bench`` targets: name -> (run from parsed args, render)."""
+    return {
+        "collectives": (lambda a: bench.run_collectives_bench(), bench.render_collectives_bench),
+        "critpath": (lambda a: bench.run_critpath_bench(), bench.render_critpath_bench),
+        "pipeline": (
+            lambda a: bench.run_pipeline_bench(min_ranks=a.min_ranks, mapping=not a.no_mapping),
+            bench.render_pipeline_bench,
+        ),
+        "routing": (lambda a: bench.run_routing_bench(pairs=a.pairs), bench.render_routing_bench),
+        "scale": (
+            lambda a: bench.run_scale_bench(
+                ranks=a.ranks or bench.SCALE_RANKS,
+                chunk_mb=a.chunk_mb,
+                budget_mb=a.budget_mb or bench.SCALE_RSS_BUDGET_MB,
+                rlimit_gb=a.rlimit_gb,
+            ),
+            bench.render_scale_bench,
+        ),
+        "sweep": (
+            lambda a: bench.run_sweep_bench(workers=a.workers or bench.SWEEP_WORKERS),
+            bench.render_sweep_bench,
+        ),
+        "telemetry": (lambda a: bench.run_telemetry_bench(), bench.render_telemetry_bench),
+        "tenancy": (lambda a: bench.run_tenancy_bench(), bench.render_tenancy_bench),
+    }
+
+
+def _run_command(args) -> int:
+    from . import analysis
+    from .apps.registry import APPS, generate_trace
 
     if args.command == "table1":
         rows = analysis.build_table1(max_ranks=args.max_ranks)
-        emit(analysis.table1_records(rows), analysis.render_table1(rows))
+        _emit(args, analysis.table1_records(rows), analysis.render_table1(rows))
     elif args.command == "table2":
         configs = analysis.build_table2()
-        emit(analysis.table2_records(configs), analysis.render_table2(configs))
+        _emit(
+            args, analysis.table2_records(configs), analysis.render_table2(configs)
+        )
     elif args.command == "table3":
         rows = analysis.build_table3(max_ranks=args.max_ranks)
-        emit(analysis.table3_records(rows), analysis.render_table3(rows))
+        _emit(args, analysis.table3_records(rows), analysis.render_table3(rows))
     elif args.command == "table4":
         rows = analysis.build_table4(max_ranks=args.max_ranks)
-        emit(analysis.table4_records(rows), analysis.render_table4(rows))
+        _emit(args, analysis.table4_records(rows), analysis.render_table4(rows))
     elif args.command == "figure1":
         series = analysis.build_figure1(args.app, args.ranks, args.rank)
         print(f"# {series.app}@{series.ranks}, rank {series.rank}")
@@ -738,18 +811,9 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             f"gini {summary.gini:.2f}"
         )
     elif args.command == "slack":
-        from .comm.matrix import matrix_from_trace
         from .model.slack import bandwidth_slack
-        from .topology.configs import config_for
 
-        trace = generate_trace(args.app, args.ranks)
-        matrix = matrix_from_trace(trace, collective=args.collective_algo)
-        cfg = config_for(args.ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        trace, matrix, topo = _traffic(args)
         report = bandwidth_slack(
             matrix,
             topo,
@@ -775,19 +839,10 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
         if gl:
             print(f"median slack global/local:  {gl[0]:.1f}x / {gl[1]:.1f}x")
     elif args.command == "simulate":
-        from .comm.matrix import matrix_from_trace
         from .model.engine import analyze_network
         from .sim.engine import simulate_network
-        from .topology.configs import config_for
 
-        trace = generate_trace(args.app, args.ranks)
-        matrix = matrix_from_trace(trace, collective=args.collective_algo)
-        cfg = config_for(args.ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        trace, matrix, topo = _traffic(args)
         t = trace.meta.execution_time
         static = analyze_network(
             matrix,
@@ -816,7 +871,6 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             f"{fmt_float(dyn.makespan_inflation, '.3f')}x"
         )
     elif args.command == "telemetry":
-        from .comm.matrix import matrix_from_trace
         from .sim.engine import simulate_network
         from .telemetry import (
             TelemetryConfig,
@@ -827,20 +881,10 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             report_to_json_dict,
             save_report_npz,
         )
-        from .topology.configs import config_for
 
-        trace = generate_trace(args.app, args.ranks)
-        matrix = matrix_from_trace(trace, collective=args.collective_algo)
-        cfg = config_for(args.ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        trace, matrix, topo = _traffic(args)
         if args.compare:
-            policies = tuple(
-                s.strip() for s in args.compare.split(",") if s.strip()
-            )
+            policies = _split(args.compare, "--compare")
             records = congestion_by_routing(
                 matrix,
                 topo,
@@ -910,35 +954,21 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             interference_report,
             render_interference_report,
         )
-        from .topology.configs import config_for
+        from .topology.configs import build_topology
 
-        def parse_specs(value: str) -> list:
-            specs = []
-            for item in (s.strip() for s in value.split(",")):
-                if not item:
-                    continue
-                name, sep, ranks = item.rpartition(":")
-                if not sep or not ranks.isdigit():
-                    raise ValueError(
-                        f"bad job spec {item!r}: expected APP:RANKS"
-                    )
-                specs.append(TenantSpec(name, int(ranks), seed=args.seed))
-            return specs
+        def tenants(value: str, flag: str) -> list:
+            return [
+                TenantSpec(name, ranks, seed=args.seed)
+                for name, ranks in _app_ranks(value, flag)
+            ]
 
-        jobs = parse_specs(args.jobs)
-        noise = parse_specs(args.noise) if args.noise else []
         workload = compose_workload(
-            jobs,
-            noise=noise,
+            tenants(args.jobs, "--jobs"),
+            noise=tenants(args.noise, "--noise") if args.noise else [],
             allocation=args.allocation,
             alloc_seed=args.alloc_seed,
         )
-        cfg = config_for(workload.num_ranks)
-        topo = {
-            "torus3d": cfg.build_torus,
-            "fattree": cfg.build_fat_tree,
-            "dragonfly": cfg.build_dragonfly,
-        }[args.topology]()
+        topo = build_topology(args.topology, workload.num_ranks)
         print(
             f"composed {workload.trace.meta.label} "
             f"({workload.num_jobs} jobs, {args.allocation} allocation) "
@@ -998,7 +1028,7 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             print(analysis.render_latency_table(rows))
         else:
             from .cache import cached_trace
-            from .validation.suite import build_topology
+            from .topology.configs import build_topology
 
             trace = cached_trace(args.app, args.ranks, seed=args.seed)
             topo = None
@@ -1045,22 +1075,15 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
                 "(+1% critical path)"
             )
     elif args.command == "sweep":
-        from .analysis.sweep import SweepSpec, run_sweep
+        from .analysis.sweep import run_sweep
 
-        def split(value: str) -> tuple[str, ...]:
-            return tuple(s.strip() for s in value.split(",") if s.strip())
-
-        spec = SweepSpec(
-            apps=((args.app, args.ranks),),
-            topologies=split(args.topologies),
-            mappings=split(args.mappings),
-            routings=split(args.routings),
-            payloads=tuple(int(p) for p in split(args.payloads)),
-            collectives=split(args.collectives),
-            seed=args.seed,
+        spec = _sweep_spec(
+            args,
+            ((args.app, args.ranks),),
             telemetry=args.telemetry,
             critpath=args.critpath,
         )
+
         def cells_done(done: int, total: int) -> None:
             print(f"  {done}/{total} cells done", file=sys.stderr)
 
@@ -1079,23 +1102,8 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
                 file=sys.stderr,
             )
             return 1
-        if getattr(args, "format", "text") == "text":
-            header = (
-                f"{'topology':<10} {'mapping':<12} {'routing':<8} "
-                f"{'collective':<10} {'payload':>7} {'avg hops':>9} "
-                f"{'util %':>10} {'links':>7}"
-            )
-            print(f"# {args.app}@{args.ranks}: {len(records)} records")
-            print(header)
-            for r in records:
-                print(
-                    f"{r['topology']:<10} {r['mapping']:<12} {r['routing']:<8} "
-                    f"{r['collective']:<10} {r['payload']:>7} "
-                    f"{r['avg_hops']:>9.3f} "
-                    f"{r['utilization_percent']:>10.5f} {r['used_links']:>7}"
-                )
-        else:
-            emit(records, "")
+        title = f"# {args.app}@{args.ranks}: {len(records)} records\n"
+        _emit(args, records, title + _records_text(records, per_app=False))
     elif args.command == "serve":
         from pathlib import Path
 
@@ -1111,7 +1119,7 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             cache_dir=args.cache_dir,
         )
     elif args.command in ("submit", "jobs", "attach"):
-        return _run_service_client(args, analysis)
+        return _run_service_client(args)
     elif args.command == "convert":
         from .dumpi.ascii_dumpi import load_dumpi2ascii_dir
         from .dumpi.writer import dump_trace, dumps_trace
@@ -1165,15 +1173,12 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
     elif args.command == "check":
         from .validation import run_check_suite
 
-        def split(value: str) -> tuple[str, ...]:
-            return tuple(s.strip() for s in value.split(",") if s.strip())
-
         report = run_check_suite(
             max_ranks=args.max_ranks,
-            apps=split(args.apps) if args.apps else None,
-            topologies=split(args.topologies),
-            routings=split(args.routings) if args.routings else None,
-            collectives=split(args.collectives),
+            apps=_split(args.apps, "--apps") if args.apps else None,
+            topologies=_split(args.topologies, "--topologies"),
+            routings=_split(args.routings, "--routings") if args.routings else None,
+            collectives=_split(args.collectives, "--collectives"),
             sim=not args.no_sim,
             target_packets=args.target_packets,
             seed=args.seed,
@@ -1202,132 +1207,25 @@ def _run_command(args, analysis, APPS, generate_trace) -> int:
             star = " (*)" if app.uses_derived_types else ""
             print(f"{name:<22}{star:<5} ranks: {configs}")
     elif args.command == "bench":
-        out = args.out or f"BENCH_{args.target}.json"
-        if args.target == "pipeline":
-            from .bench import (
-                render_pipeline_bench,
-                run_pipeline_bench,
-                write_pipeline_bench,
-            )
+        from . import bench
 
-            data = run_pipeline_bench(
-                min_ranks=args.min_ranks, mapping=not args.no_mapping
-            )
-            print(render_pipeline_bench(data))
-            path = write_pipeline_bench(out, data)
-        elif args.target == "telemetry":
-            from .bench import (
-                render_telemetry_bench,
-                run_telemetry_bench,
-                write_telemetry_bench,
-            )
-
-            data = run_telemetry_bench()
-            print(render_telemetry_bench(data))
-            path = write_telemetry_bench(out, data)
-        elif args.target == "scale":
-            from .bench import (
-                SCALE_RANKS,
-                SCALE_RSS_BUDGET_MB,
-                render_scale_bench,
-                run_scale_bench,
-                write_scale_bench,
-            )
-
-            data = run_scale_bench(
-                ranks=args.ranks or SCALE_RANKS,
-                chunk_mb=args.chunk_mb,
-                budget_mb=args.budget_mb or SCALE_RSS_BUDGET_MB,
-                rlimit_gb=args.rlimit_gb,
-            )
-            print(render_scale_bench(data))
-            path = write_scale_bench(out, data)
-        elif args.target == "sweep":
-            from .bench import (
-                SWEEP_WORKERS,
-                render_sweep_bench,
-                run_sweep_bench,
-                write_sweep_bench,
-            )
-
-            data = run_sweep_bench(workers=args.workers or SWEEP_WORKERS)
-            print(render_sweep_bench(data))
-            path = write_sweep_bench(out, data)
-        elif args.target == "tenancy":
-            from .bench import (
-                render_tenancy_bench,
-                run_tenancy_bench,
-                write_tenancy_bench,
-            )
-
-            data = run_tenancy_bench()
-            print(render_tenancy_bench(data))
-            path = write_tenancy_bench(out, data)
-        elif args.target == "critpath":
-            from .bench import (
-                render_critpath_bench,
-                run_critpath_bench,
-                write_critpath_bench,
-            )
-
-            data = run_critpath_bench()
-            print(render_critpath_bench(data))
-            path = write_critpath_bench(out, data)
-        elif args.target == "collectives":
-            from .bench import (
-                render_collectives_bench,
-                run_collectives_bench,
-                write_collectives_bench,
-            )
-
-            data = run_collectives_bench()
-            print(render_collectives_bench(data))
-            path = write_collectives_bench(out, data)
-        elif args.target == "routing":
-            from .bench import (
-                render_routing_bench,
-                run_routing_bench,
-                write_routing_bench,
-            )
-
-            data = run_routing_bench(pairs=args.pairs)
-            print(render_routing_bench(data))
-            path = write_routing_bench(out, data)
-        else:
+        targets = _bench_targets(bench)
+        if args.target not in targets:
             raise ValueError(
                 f"unknown bench target {args.target!r}; available: "
-                "collectives, critpath, pipeline, routing, scale, sweep, "
-                "telemetry, tenancy"
+                f"{', '.join(targets)}"
             )
+        run, render = targets[args.target]
+        data = run(args)
+        print(render(data))
+        path = bench.write_bench(args.out or f"BENCH_{args.target}.json", data)
         print(f"wrote {path}")
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {args.command}")
     return 0
 
 
-def _print_job_records(args, analysis, records) -> None:
-    fmt = getattr(args, "format", "text")
-    if fmt == "csv":
-        sys.stdout.write(analysis.rows_to_csv(records))
-    elif fmt == "json":
-        print(analysis.rows_to_json(records))
-    else:
-        print(
-            f"{'app':<12} {'ranks':>6} {'topology':<10} {'mapping':<12} "
-            f"{'routing':<8} {'collective':<10} {'payload':>7} "
-            f"{'avg hops':>9} {'util %':>10} {'links':>7}"
-        )
-        for r in records:
-            print(
-                f"{r['app']:<12} {r['ranks']:>6} {r['topology']:<10} "
-                f"{r['mapping']:<12} {r['routing']:<8} "
-                f"{r.get('collective', 'flat'):<10} {r['payload']:>7} "
-                f"{r['avg_hops']:>9.3f} {r['utilization_percent']:>10.5f} "
-                f"{r['used_links']:>7}"
-            )
-
-
-def _stream_job(args, analysis, client, job: str, want_results: bool) -> int:
+def _stream_job(args, client, job: str, want_results: bool) -> int:
     """Follow one job's event stream; optionally print its records."""
     for event in client.attach(job):
         kind = event.get("event")
@@ -1345,13 +1243,14 @@ def _stream_job(args, analysis, client, job: str, want_results: bool) -> int:
                 print(f"error: job {job} {status}{suffix}", file=sys.stderr)
                 return 1
     if want_results:
-        _print_job_records(args, analysis, client.results(job))
+        records = client.results(job)
+        _emit(args, records, _records_text(records, per_app=True))
     else:
         print(f"{job}: done")
     return 0
 
 
-def _run_service_client(args, analysis) -> int:
+def _run_service_client(args) -> int:
     """The ``submit`` / ``jobs`` / ``attach`` client commands."""
     from pathlib import Path
 
@@ -1360,35 +1259,15 @@ def _run_service_client(args, analysis) -> int:
     socket_path = args.socket or str(Path(args.state) / "service.sock")
     client = SweepClient(socket_path)
 
-    def split(value: str) -> tuple[str, ...]:
-        return tuple(s.strip() for s in value.split(",") if s.strip())
-
     try:
         if args.command == "submit":
-            from .analysis.sweep import SweepSpec
             from .service.cells import spec_to_dict
 
             if args.apps:
-                apps = []
-                for part in split(args.apps):
-                    name, _, ranks = part.partition(":")
-                    if not name or not ranks.isdigit():
-                        raise ValueError(
-                            f"--apps entries are NAME:RANKS, got {part!r}"
-                        )
-                    apps.append((name, int(ranks)))
-                app_axis = tuple(apps)
+                apps = _app_ranks(args.apps, "--apps")
             else:
-                app_axis = ((args.app, args.ranks),)
-            spec = SweepSpec(
-                apps=app_axis,
-                topologies=split(args.topologies),
-                mappings=split(args.mappings),
-                routings=split(args.routings),
-                payloads=tuple(int(p) for p in split(args.payloads)),
-                collectives=split(args.collectives),
-                seed=args.seed,
-            )
+                apps = ((args.app, args.ranks),)
+            spec = _sweep_spec(args, apps)
             resp = client.submit(spec_to_dict(spec))
             print(
                 f"{resp['job']}: {resp['cells']} cells "
@@ -1397,11 +1276,11 @@ def _run_service_client(args, analysis) -> int:
             )
             if args.wait:
                 return _stream_job(
-                    args, analysis, client, resp["job"], want_results=True
+                    args, client, resp["job"], want_results=True
                 )
         elif args.command == "attach":
             return _stream_job(
-                args, analysis, client, args.job, want_results=args.results
+                args, client, args.job, want_results=args.results
             )
         elif args.shutdown:
             client.shutdown()
@@ -1434,13 +1313,7 @@ def _run_service_client(args, analysis) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # stdout closed early (e.g. piped through `head`) — not a failure.
-        # Point stdout at devnull so the interpreter's exit-time flush of
-        # the dead pipe doesn't print a spurious traceback.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        raise  # stdout closed early; main() handles that for every command
     except OSError as exc:
         print(
             f"error: cannot reach sweep service at {socket_path}: {exc}",

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from typing import Any
 
-from ..analysis.sweep import SweepSpec, unique_points
+from ..analysis.sweep import Scenario, SweepSpec, unique_points
 
 __all__ = [
     "CELL_KEY_VERSION",
@@ -40,109 +41,97 @@ __all__ = [
 #: v3: collective-algorithm axis (points grew a ``collective`` field).
 CELL_KEY_VERSION = 3
 
-#: Grid-point axes in canonical order (matches ``SweepSpec.points()`` rows).
-_POINT_FIELDS = (
-    "app",
-    "ranks",
-    "payload",
-    "topology",
-    "mapping",
-    "routing",
-    "collective",
-)
+_HINTS = typing.get_type_hints(SweepSpec)
 
-#: Spec-level fields that shape every cell's records.
-_SHARED_FIELDS = (
-    "bandwidths",
-    "include_collectives",
-    "seed",
-    "telemetry",
-    "telemetry_windows",
-    "telemetry_threshold",
-    "sim_volume_scale",
-    "critpath",
-    "critpath_max_repeat",
-)
+#: Spec fields, their resolved types, and whether each point carries them.
+_SPEC_FIELDS = [
+    (f.name, _HINTS[f.name], f.metadata.get("point", False))
+    for f in fields(SweepSpec)
+]
 
 
 def spec_to_dict(spec: SweepSpec) -> dict[str, Any]:
     """A JSON-safe dict that :func:`spec_from_dict` inverts exactly."""
-    return {
-        "apps": [[name, ranks] for name, ranks in spec.apps],
-        "topologies": list(spec.topologies),
-        "mappings": list(spec.mappings),
-        "payloads": list(spec.payloads),
-        "bandwidths": list(spec.bandwidths),
-        "routings": list(spec.routings),
-        "collectives": list(spec.collectives),
-        "include_collectives": spec.include_collectives,
-        "seed": spec.seed,
-        "telemetry": spec.telemetry,
-        "telemetry_windows": spec.telemetry_windows,
-        "telemetry_threshold": spec.telemetry_threshold,
-        "sim_volume_scale": spec.sim_volume_scale,
-        "critpath": spec.critpath,
-        "critpath_max_repeat": spec.critpath_max_repeat,
-    }
+    return {name: _json_safe(getattr(spec, name)) for name, _, _ in _SPEC_FIELDS}
+
+
+def _json_safe(value: Any) -> Any:
+    if isinstance(value, (tuple, list)):
+        return [_json_safe(v) for v in value]
+    return value
 
 
 def spec_from_dict(data: dict[str, Any]) -> SweepSpec:
     """Rebuild a :class:`SweepSpec` from :func:`spec_to_dict` output.
 
-    Validation happens in ``SweepSpec.__post_init__``; unknown keys raise
-    so a stale client cannot silently submit fields the server ignores.
+    Every value is checked against its field's type, so a malformed spec
+    fails with one ``ValueError`` instead of being mis-parsed: bool fields
+    take only bools, int fields ints but not bools, float fields ints or
+    floats (kept as given, so ``sim_volume_scale=64`` keys as ``64``).
+    Axis elements convert to the element type (an int bandwidth becomes a
+    float, as cell keys expect).  Range checks happen in
+    ``SweepSpec.__post_init__``; unknown keys raise so a stale client
+    cannot silently submit fields the server ignores.
     """
     data = dict(data)
-    apps = data.pop("apps", None)
-    if not apps:
+    if not data.get("apps"):
         raise ValueError("sweep spec needs a non-empty 'apps' list")
-    kwargs: dict[str, Any] = {
-        "apps": tuple((str(name), int(ranks)) for name, ranks in apps)
+    kwargs = {
+        name: _typed(name, data.pop(name), hint)
+        for name, hint, _ in _SPEC_FIELDS
+        if name in data
     }
-    for field, convert in (
-        ("topologies", str),
-        ("mappings", str),
-        ("routings", str),
-        ("collectives", str),
-        ("payloads", int),
-        ("bandwidths", float),
-    ):
-        if field in data:
-            kwargs[field] = tuple(convert(v) for v in data.pop(field))
-    for field in (
-        "include_collectives",
-        "seed",
-        "telemetry",
-        "telemetry_windows",
-        "telemetry_threshold",
-        "sim_volume_scale",
-        "critpath",
-        "critpath_max_repeat",
-    ):
-        if field in data:
-            kwargs[field] = data.pop(field)
     if data:
         raise ValueError(f"unknown sweep spec fields {sorted(data)}")
     return SweepSpec(**kwargs)
 
 
+def _typed(name: str, value: Any, hint: Any, element: bool = False) -> Any:
+    """``value`` checked against the type ``hint`` of spec field ``name``."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(
+                f"sweep spec field {name!r} must be a list, got {value!r}"
+            )
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ValueError(
+                f"sweep spec field {name!r} needs {len(args)}-item entries, "
+                f"got {value!r}"
+            )
+        return tuple(
+            _typed(name, v, arg, element=True) for v, arg in zip(value, args)
+        )
+    allowed = (int, float) if hint is float else hint
+    if not isinstance(value, allowed) or (
+        hint is not bool and isinstance(value, bool)
+    ):
+        raise ValueError(
+            f"sweep spec field {name!r} must be {hint.__name__}, got {value!r}"
+        )
+    return hint(value) if element else value
+
+
 def _shared_fields(spec: SweepSpec) -> dict[str, Any]:
-    fields = spec_to_dict(spec)
-    return {name: fields[name] for name in _SHARED_FIELDS}
+    """The spec fields that shape every cell: all but the point axes."""
+    data = spec_to_dict(spec)
+    return {name: data[name] for name, _, point in _SPEC_FIELDS if not point}
 
 
-def cell_key(spec: SweepSpec, point: tuple) -> str:
+def cell_key(spec: SweepSpec, point: Scenario) -> str:
     """Content key of one cell: a hex digest over (point, shared fields)."""
     payload = {
         "v": CELL_KEY_VERSION,
-        "point": dict(zip(_POINT_FIELDS, point)),
+        "point": point._asdict(),
         "shared": _shared_fields(spec),
     }
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(raw.encode(), digest_size=16).hexdigest()
 
 
-def affinity_token(spec: SweepSpec, point: tuple) -> str:
+def affinity_token(spec: SweepSpec, point: Scenario) -> str:
     """The cache-affinity group of a cell.
 
     ``(app, ranks, seed)`` selects the trace — the heaviest artifact a
@@ -150,8 +139,7 @@ def affinity_token(spec: SweepSpec, point: tuple) -> str:
     derive.  Cells of one token therefore share a worker so the trace is
     paged in once per pool, not once per worker.
     """
-    app, ranks = point[0], point[1]
-    return f"{app}:{ranks}:{spec.seed}"
+    return f"{point.app}:{point.ranks}:{spec.seed}"
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ class Cell:
     """One schedulable unit: a grid point plus its identity keys."""
 
     index: int  # position in the spec's canonical deduplicated order
-    point: tuple  # (app, ranks, payload, topology, mapping, routing, collective)
+    point: Scenario
     key: str  # content key (journal / dedup identity)
     token: str  # cache-affinity group
 

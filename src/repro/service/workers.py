@@ -61,7 +61,7 @@ def _counter_delta(
 def _worker_main(task_q, conn, cache_dir, memory_items) -> None:
     """Child entry point: evaluate cells until a ``None`` sentinel arrives."""
     from .. import cache, timings
-    from ..analysis.sweep import _eval_point
+    from ..analysis.sweep import Scenario, _eval_point
     from .cells import spec_from_dict
 
     if cache_dir:
@@ -89,7 +89,7 @@ def _worker_main(task_q, conn, cache_dir, memory_items) -> None:
             stages_before = timings.snapshot()
             t0 = time.perf_counter()
             try:
-                records = _eval_point(spec, tuple(point))
+                records = _eval_point(spec, Scenario(*point))
             except Exception as exc:  # surfaced as a job failure server-side
                 conn.send(("error", key, f"{type(exc).__name__}: {exc}"))
                 continue

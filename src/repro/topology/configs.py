@@ -30,6 +30,8 @@ __all__ = [
     "fat_tree_stages_for",
     "dragonfly_params_for",
     "config_for",
+    "TOPOLOGY_KINDS",
+    "build_topology",
     "build_all",
 ]
 
@@ -174,11 +176,30 @@ def config_for(num_ranks: int) -> TopologyConfig:
     )
 
 
+#: Topology kind -> the :class:`TopologyConfig` method that builds it, by
+#: name so each call looks the method up (wrappers installed on the class
+#: see every build).
+_BUILDERS = {
+    "torus3d": "build_torus",
+    "fattree": "build_fat_tree",
+    "dragonfly": "build_dragonfly",
+}
+
+#: The study's topology kinds, in Table-2 column order.
+TOPOLOGY_KINDS: tuple[str, ...] = tuple(_BUILDERS)
+
+
+def build_topology(kind: str, ranks: int) -> Torus3D | FatTree | Dragonfly:
+    """Table-2 topology instance of ``kind`` sized for ``ranks``."""
+    try:
+        builder = _BUILDERS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown topology {kind!r}; known: {list(TOPOLOGY_KINDS)}"
+        ) from None
+    return getattr(config_for(ranks), builder)()
+
+
 def build_all(num_ranks: int) -> dict[str, Torus3D | FatTree | Dragonfly]:
     """Instantiate all three configured topologies for a problem size."""
-    cfg = config_for(num_ranks)
-    return {
-        "torus3d": cfg.build_torus(),
-        "fattree": cfg.build_fat_tree(),
-        "dragonfly": cfg.build_dragonfly(),
-    }
+    return {kind: build_topology(kind, num_ranks) for kind in TOPOLOGY_KINDS}

@@ -32,6 +32,7 @@ from ..comm.matrix import matrix_from_trace
 from ..mapping.base import Mapping
 from ..routing import ROUTINGS
 from ..telemetry import TelemetryConfig, reports_equal
+from ..topology.configs import TOPOLOGY_KINDS, build_topology
 from .base import run_invariants
 from .invariants import (
     incidences_identical,
@@ -39,10 +40,8 @@ from .invariants import (
     traces_identical,
 )
 from .suite import (
-    TOPOLOGY_KINDS,
     attach_simulation,
     build_static_context,
-    build_topology,
     simulation_volume_scale,
 )
 

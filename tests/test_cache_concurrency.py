@@ -28,7 +28,7 @@ HAMMER_PROCS = 8
 def _hammer_worker(disk_dir: str, out_dir: str, idx: int, barrier) -> None:
     """Compute trace -> matrix -> mapping cold against the shared disk tier."""
     from repro import cache
-    from repro.validation.suite import build_topology
+    from repro.topology.configs import build_topology
 
     cache.configure(disk_dir=disk_dir)
     cache.clear(memory=True)

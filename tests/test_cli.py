@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+
+#: Every subcommand's options: default, choices, type, required, action.
+SURFACE = Path(__file__).with_name("cli_surface.json")
 
 
 def run(capsys, *argv):
@@ -19,6 +30,42 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
+
+    def test_surface_matches_snapshot(self):
+        """No subcommand gains, loses or re-defaults a flag."""
+
+        def table(p):
+            return {
+                "/".join(a.option_strings) or a.dest: [
+                    a.default,
+                    list(a.choices) if a.choices else None,
+                    getattr(a.type, "__name__", None),
+                    a.required,
+                    type(a).__name__,
+                ]
+                for a in p._actions
+                if not isinstance(
+                    a, (argparse._HelpAction, argparse._SubParsersAction)
+                )
+            }
+
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {"": table(parser)}
+        surface.update((name, table(p)) for name, p in sub.choices.items())
+        assert surface == json.loads(SURFACE.read_text())
+
+    def test_literal_choices_match_registries(self):
+        from repro.collectives import COLLECTIVES
+        from repro.routing import ROUTINGS
+        from repro.topology.configs import TOPOLOGY_KINDS
+
+        assert cli._ROUTING_CHOICES == tuple(ROUTINGS)
+        assert cli._COLLECTIVE_CHOICES == tuple(COLLECTIVES)
+        assert cli._TOPOLOGY_CHOICES == TOPOLOGY_KINDS
 
 
 class TestCommands:
@@ -113,6 +160,55 @@ class TestErrorPaths:
     def test_missing_convert_dir(self, capsys, tmp_path):
         msg = self.fail(capsys, "convert", "--dir", str(tmp_path / "nope"), "--app", "X")
         assert "error: " in msg
+
+    @pytest.mark.parametrize("rank", ["999", "64", "-1"])
+    def test_figure1_rank_out_of_range(self, capsys, rank):
+        msg = self.fail(capsys, "figure1", "--app", "LULESH", "--ranks", "64", "--rank", rank)
+        assert f"rank {rank}" in msg
+
+    def test_empty_sweep_axis(self, capsys):
+        msg = self.fail(
+            capsys, "sweep", "--app", "LULESH", "--ranks", "64", "--topologies", ","
+        )
+        assert "--topologies" in msg
+
+    def test_empty_compare_list(self, capsys):
+        msg = self.fail(
+            capsys, "telemetry", "--app", "LULESH", "--ranks", "64", "--compare", ","
+        )
+        assert "--compare" in msg
+
+    def test_bad_jobs_entry(self, capsys):
+        msg = self.fail(capsys, "compose", "--jobs", "LULESH64")
+        assert "APP:RANKS" in msg and "LULESH64" in msg
+
+    def test_closed_stdout_is_not_a_failure(self):
+        """A reader that stops early (``| head``) gets no traceback."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "figure1", "--app", "LULESH", "--ranks", "64"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # closed before the command writes anything
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+class TestBenchWriter:
+    def test_write_bench_bytes(self, tmp_path):
+        from repro.bench import write_bench
+
+        data = {"summary": {"ok": True, "ratio": 1.5}, "alpha": [3, 1]}
+        path = write_bench(tmp_path / "BENCH_x.json", data)
+        assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 class TestCheckCommand:

@@ -14,6 +14,7 @@ import asyncio
 import json
 import logging
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -23,8 +24,9 @@ from pathlib import Path
 import pytest
 
 from repro import cache
-from repro.analysis.sweep import SweepSpec, run_sweep
+from repro.analysis.sweep import Scenario, SweepSpec, run_sweep
 from repro.service.cells import (
+    CELL_KEY_VERSION,
     affinity_token,
     cell_key,
     expand_cells,
@@ -65,6 +67,80 @@ class TestCells:
             seed=3,
         )
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_cell_keys_pinned(self):
+        """Literal keys: a journal written before any refactor still replays."""
+        spec = SweepSpec(
+            apps=(("LULESH", 64),), topologies=("torus3d",), payloads=(256,)
+        )
+        assert cell_key(spec, spec.points()[0]) == (
+            "52a83e440607726ea1b0c23b53a2de71"
+        )
+        spec = SweepSpec(
+            apps=(("CMC_2D", 64), ("LULESH", 64)),
+            topologies=("fattree", "dragonfly"),
+            mappings=("greedy",),
+            payloads=(1024,),
+            bandwidths=(3e9,),
+            routings=("ugal",),
+            collectives=("binomial",),
+            include_collectives=False,
+            seed=7,
+            telemetry=True,
+            telemetry_windows=16,
+            telemetry_threshold=0.5,
+            sim_volume_scale=8.0,
+            critpath=True,
+            critpath_max_repeat=4,
+        )
+        points = spec.points()
+        assert cell_key(spec, points[0]) == "302714242566b85c6d380b256f0bb694"
+        assert cell_key(spec, points[1]) == "a71983d0606dd8befee3d4417821e9f6"
+        assert affinity_token(spec, points[0]) == "CMC_2D:64:7"
+        assert CELL_KEY_VERSION == 3
+
+    def test_spec_to_dict_keeps_int_valued_floats(self):
+        data = spec_to_dict(SweepSpec(sim_volume_scale=64))
+        assert data["sim_volume_scale"] == 64
+        assert type(data["sim_volume_scale"]) is int
+        assert json.loads(json.dumps(data)) == data
+        assert spec_from_dict(data).sim_volume_scale == 64
+
+    def test_points_are_scenarios(self):
+        point = SMALL_SPEC.points()[0]
+        assert isinstance(point, Scenario)
+        assert point.app == "LULESH" and point.topology == "torus3d"
+        assert Scenario(*json.loads(json.dumps(point))) == point
+        assert pickle.loads(pickle.dumps(point)) == point
+        assert len(set(SMALL_SPEC.points())) == len(SMALL_SPEC.points())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("telemetry", "no"),
+            ("seed", "3"),
+            ("critpath_max_repeat", 2.5),
+            ("include_collectives", 0),
+            ("topologies", []),
+            ("sim_volume_scale", True),
+            ("payloads", ["4096"]),
+            ("apps", [["LULESH"]]),
+        ],
+    )
+    def test_malformed_spec_rejected(self, field, value):
+        data = spec_to_dict(SMALL_SPEC)
+        data[field] = value
+        with pytest.raises(ValueError, match=field) as info:
+            spec_from_dict(data)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "axis",
+        ["topologies", "mappings", "payloads", "bandwidths", "routings", "collectives"],
+    )
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"sweep axis '{axis}' is empty"):
+            SweepSpec(**{axis: ()})
 
     def test_unknown_spec_field_rejected(self):
         data = spec_to_dict(SMALL_SPEC)

@@ -5,7 +5,9 @@ import pytest
 from repro.topology.configs import (
     TABLE2,
     TABLE2_SIZES,
+    TOPOLOGY_KINDS,
     build_all,
+    build_topology,
     config_for,
     dragonfly_params_for,
     fat_tree_stages_for,
@@ -103,3 +105,22 @@ class TestBuildAll:
         assert topos["dragonfly"].num_nodes == 72
         for t in topos.values():
             assert t.num_nodes >= 64
+
+    def test_keys_follow_topology_kinds(self):
+        assert tuple(build_all(100)) == TOPOLOGY_KINDS
+
+
+class TestBuildTopology:
+    @pytest.mark.parametrize("ranks", [8, 100, 1000])
+    def test_matches_config_builders(self, ranks):
+        cfg = config_for(ranks)
+        built = {kind: build_topology(kind, ranks) for kind in TOPOLOGY_KINDS}
+        assert built["torus3d"].fingerprint() == cfg.build_torus().fingerprint()
+        assert built["fattree"].fingerprint() == cfg.build_fat_tree().fingerprint()
+        assert built["dragonfly"].fingerprint() == cfg.build_dragonfly().fingerprint()
+        for kind, topo in built.items():
+            assert topo.kind == kind
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown topology 'hypercube'"):
+            build_topology("hypercube", 64)
