@@ -31,14 +31,9 @@ Usage::
     python -m repro check   [--max-ranks N] [--strict] [--no-sim] [--composed] [--collectives flat,binomial]
     python -m repro fuzz    [--count N] [--offset K] [--no-shrink]
     python -m repro apps
-    python -m repro bench pipeline [--min-ranks N] [--out PATH]
-    python -m repro bench routing [--pairs N] [--out PATH]
-    python -m repro bench telemetry [--out PATH]
-    python -m repro bench scale [--ranks N] [--chunk-mb M] [--rlimit-gb G]
-    python -m repro bench sweep [--workers N] [--out PATH]
-    python -m repro bench tenancy [--out PATH]
-    python -m repro bench critpath [--out PATH]
-    python -m repro bench collectives [--out PATH]
+    python -m repro bench {collectives,critpath,pipeline,routing,scale,sim,sweep,telemetry,tenancy} [--out PATH]
+    python -m repro bench routing [--pairs N]
+    python -m repro bench scale [--rlimit-gb G]
 
 Global options (before the subcommand): ``--timings`` prints a per-stage
 wall-time breakdown (trace generation / matrix build / routing / analysis /
@@ -538,18 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep: cold serial vs warm sharded sweep service; "
         "tenancy: interference-aware routing gate and solo bit-identity; "
         "critpath: vectorized matcher speedup and sensitivity cross-check; "
-        "collectives: flat-engine identity gate and tree locality deltas",
-    )
-    be.add_argument(
-        "--min-ranks",
-        type=int,
-        default=1000,
-        help="(pipeline) benchmark configurations with at least this many ranks",
-    )
-    be.add_argument(
-        "--no-mapping",
-        action="store_true",
-        help="(pipeline) skip the mapping-kernel section",
+        "collectives: flat-engine identity gate and tree locality deltas; "
+        "sim: batched vs reference simulator and warm Table-3 cache. "
+        "Exits 1 when a non-timing gate fails",
     )
     be.add_argument(
         "--pairs",
@@ -558,37 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="(routing) node pairs routed per policy (default: 100000)",
     )
     be.add_argument(
-        "--ranks",
-        type=int,
-        default=None,
-        help="(scale) rank count for the streaming pipeline "
-        "(default: 262144)",
-    )
-    be.add_argument(
-        "--chunk-mb",
-        type=float,
-        default=8.0,
-        help="(scale) per-chunk byte budget in MB (default: 8)",
-    )
-    be.add_argument(
-        "--budget-mb",
-        type=float,
-        default=None,
-        help="(scale) peak-RSS budget the ratio gate divides by "
-        "(default: 2048)",
-    )
-    be.add_argument(
         "--rlimit-gb",
         type=float,
         default=None,
         help="(scale) hard RLIMIT_AS cap applied inside the measured "
         "subprocess (default: no cap)",
-    )
-    be.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="(sweep) persistent workers per service run (default: 2)",
     )
     be.add_argument(
         "--out",
@@ -711,34 +671,6 @@ def _records_text(records, per_app: bool) -> str:
             f"{r['used_links']:>7}"
         )
     return "\n".join(lines)
-
-
-def _bench_targets(bench):
-    """``repro bench`` targets: name -> (run from parsed args, render)."""
-    return {
-        "collectives": (lambda a: bench.run_collectives_bench(), bench.render_collectives_bench),
-        "critpath": (lambda a: bench.run_critpath_bench(), bench.render_critpath_bench),
-        "pipeline": (
-            lambda a: bench.run_pipeline_bench(min_ranks=a.min_ranks, mapping=not a.no_mapping),
-            bench.render_pipeline_bench,
-        ),
-        "routing": (lambda a: bench.run_routing_bench(pairs=a.pairs), bench.render_routing_bench),
-        "scale": (
-            lambda a: bench.run_scale_bench(
-                ranks=a.ranks or bench.SCALE_RANKS,
-                chunk_mb=a.chunk_mb,
-                budget_mb=a.budget_mb or bench.SCALE_RSS_BUDGET_MB,
-                rlimit_gb=a.rlimit_gb,
-            ),
-            bench.render_scale_bench,
-        ),
-        "sweep": (
-            lambda a: bench.run_sweep_bench(workers=a.workers or bench.SWEEP_WORKERS),
-            bench.render_sweep_bench,
-        ),
-        "telemetry": (lambda a: bench.run_telemetry_bench(), bench.render_telemetry_bench),
-        "tenancy": (lambda a: bench.run_tenancy_bench(), bench.render_tenancy_bench),
-    }
 
 
 def _run_command(args) -> int:
@@ -1209,17 +1141,21 @@ def _run_command(args) -> int:
     elif args.command == "bench":
         from . import bench
 
-        targets = _bench_targets(bench)
-        if args.target not in targets:
+        target = bench.BENCHES.get(args.target)
+        if target is None:
             raise ValueError(
                 f"unknown bench target {args.target!r}; available: "
-                f"{', '.join(targets)}"
+                f"{', '.join(bench.BENCHES)}"
             )
-        run, render = targets[args.target]
-        data = run(args)
-        print(render(data))
+        data = bench.run_bench(
+            args.target, **{name: getattr(args, name) for name in target.options}
+        )
+        print(target.render(data))
+        print(bench.render_gates(data["gates"]))
         path = bench.write_bench(args.out or f"BENCH_{args.target}.json", data)
         print(f"wrote {path}")
+        if any(not g["passed"] and not g["timing"] for g in data["gates"]):
+            return 1
     else:  # pragma: no cover - argparse enforces the choices
         raise AssertionError(f"unhandled command {args.command}")
     return 0

@@ -38,7 +38,6 @@ from .translate import (
     iter_send_groups,
     iter_stream_send_batches,
 )
-from .tree import expand_collective_tree
 
 __all__ = [
     "COLLECTIVES",
@@ -55,7 +54,6 @@ __all__ = [
     "even_split_rows",
     "expand_collective",
     "expand_collective_batch",
-    "expand_collective_tree",
     "ClassifiedSends",
     "SendBatch",
     "TrafficClass",

@@ -1,10 +1,11 @@
-"""The binomial-tree engine — :mod:`repro.collectives.tree` promoted.
+"""The binomial-tree engine.
 
-Rooted operations use binomial trees (log-depth fan-out/fan-in); the
-unrooted ones use recursive doubling, exactly as the per-event ablation
-:func:`~repro.collectives.tree.expand_collective_tree` always has.  That
-function remains the oracle: the engine's schedules are pinned message-
-multiset-identical to it by the equivalence tests.
+Rooted operations use MPICH-orientation binomial trees (log-depth
+fan-out/fan-in); the unrooted ones use recursive doubling, with the
+standard fold of a non-power-of-two remainder.  The alltoall family, scans
+and reduce_scatter keep the flat direct schedule.  The tree tests pin the
+schedules' message counts, reach and volumes; the engine equivalence suite
+pins per-event against batch expansion.
 """
 
 from __future__ import annotations

@@ -29,11 +29,15 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import queue
 import threading
 import time
 from typing import Any, Callable
 
 __all__ = ["WorkerHandle", "WorkerPool"]
+
+#: How often an idle worker checks that its server is still alive.
+_PARENT_POLL_S = 0.5
 
 #: Regions whose hit/miss deltas are reported per cell.
 _STAT_REGIONS = ("trace", "matrix", "mapping", "incidence")
@@ -58,8 +62,14 @@ def _counter_delta(
     return delta
 
 
-def _worker_main(task_q, conn, cache_dir, memory_items) -> None:
-    """Child entry point: evaluate cells until a ``None`` sentinel arrives."""
+def _worker_main(task_q, conn, cache_dir, memory_items, server_pid) -> None:
+    """Child entry point: evaluate cells until a ``None`` sentinel arrives.
+
+    Also exits once the server is gone: a SIGKILLed server sends no
+    sentinel, and this process holds the queue's write end itself, so a
+    blocking ``get`` would never see EOF.  The queue is polled instead and
+    the parent pid checked between polls.
+    """
     from .. import cache, timings
     from ..analysis.sweep import Scenario, _eval_point
     from .cells import spec_from_dict
@@ -77,7 +87,12 @@ def _worker_main(task_q, conn, cache_dir, memory_items) -> None:
     specs: dict[str, Any] = {}
     try:
         while True:
-            task = task_q.get()
+            try:
+                task = task_q.get(timeout=_PARENT_POLL_S)
+            except queue.Empty:
+                if os.getppid() != server_pid:
+                    return
+                continue
             if task is None:
                 conn.send(("exit",))
                 return
@@ -166,7 +181,7 @@ class WorkerPool:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(task_q, send_conn, self.cache_dir, self.memory_items),
+            args=(task_q, send_conn, self.cache_dir, self.memory_items, os.getpid()),
             name=f"repro-sweep-worker-{worker_id}",
             daemon=True,
         )

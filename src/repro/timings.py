@@ -100,13 +100,22 @@ def since(snap: dict[str, float]) -> dict[str, float]:
 def peak_rss_bytes() -> int | None:
     """Lifetime peak resident-set size of this process, in bytes.
 
-    Reads ``resource.getrusage``'s ``ru_maxrss``, which the kernel reports
-    in kilobytes on Linux and bytes on macOS.  The counter is a
-    process-lifetime high-water mark (it never goes down), so a clean
-    measurement of one workload needs a fresh process — the scale bench
-    runs its pipeline in a subprocess for exactly that reason.  Returns
-    ``None`` on platforms without the ``resource`` module.
+    On Linux this is ``VmHWM`` from ``/proc/self/status``, the high-water
+    mark of this process's own address space.  Elsewhere it is
+    ``resource.getrusage``'s ``ru_maxrss`` (bytes on macOS), which on
+    Linux would also carry a parent's peak into a child across ``exec``:
+    a subprocess started by a 2 GB process would report 2 GB.  Either
+    counter never goes down, so a clean measurement of one workload needs
+    a fresh process — the scale bench runs its pipeline in a subprocess
+    for exactly that reason.  Returns ``None`` on platforms with neither.
     """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms

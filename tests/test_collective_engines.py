@@ -18,7 +18,6 @@ from repro.collectives import (
     COLLECTIVES,
     CollectiveAlgorithm,
     even_split,
-    expand_collective_tree,
     get_algorithm,
 )
 from repro.comm.matrix import matrix_from_trace
@@ -98,12 +97,6 @@ class TestRegistry:
         tokens = {get_algorithm(name).cache_token() for name in ENGINES}
         assert len(tokens) == len(ENGINES)
 
-    def test_tree_helper_exported(self):
-        import repro.collectives as pkg
-
-        assert "expand_collective_tree" in pkg.__all__
-        assert pkg.expand_collective_tree is expand_collective_tree
-
 
 # ------------------------------------------------------- root validation
 
@@ -150,7 +143,7 @@ class TestRootValidation:
             caller=0, op=CollectiveOp.GATHER, count=COUNT, root=9
         )
         with pytest.raises(ValueError, match="communicator-local"):
-            expand_collective_tree(ev, comm, 1)
+            get_algorithm("binomial").expand(ev, comm, 1)
 
     @pytest.mark.parametrize("algo", ENGINES)
     def test_unrooted_ops_ignore_root_field(self, algo):

@@ -1,14 +1,16 @@
-"""Tests for the tree-based collective expansion (ablation counterpart)."""
+"""Tests for the binomial-tree collective engine's per-event expansion."""
 
 import math
 
 import numpy as np
 import pytest
 
+from repro.collectives import get_algorithm
 from repro.collectives.patterns import expand_collective
-from repro.collectives.tree import expand_collective_tree
 from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp
+
+expand_binomial = get_algorithm("binomial").expand
 
 
 def union(op, n, count=100, root=0):
@@ -17,7 +19,7 @@ def union(op, n, count=100, root=0):
     msgs = []
     for caller in range(n):
         ev = CollectiveEvent(caller=caller, op=op, count=count, root=root)
-        for g in expand_collective_tree(ev, comm, 1):
+        for g in expand_binomial(ev, comm, 1):
             for dst, size in zip(g.dsts, g.bytes_per_msg):
                 msgs.append((caller, int(dst), int(size)))
     return msgs
@@ -48,7 +50,7 @@ class TestBcastTree:
     def test_root_sends_log_n_messages(self):
         comm = Communicator.world(16)
         ev = CollectiveEvent(caller=0, op=CollectiveOp.BCAST, count=10, root=0)
-        groups = expand_collective_tree(ev, comm, 1)
+        groups = expand_binomial(ev, comm, 1)
         assert sum(len(g.dsts) for g in groups) == 4  # log2(16)
 
     def test_nonzero_root(self):
@@ -121,10 +123,10 @@ class TestFallbacks:
         comm = Communicator.world(8)
         ev = CollectiveEvent(caller=0, op=CollectiveOp.ALLTOALL, count=10)
         flat = expand_collective(ev, comm, 1)
-        tree = expand_collective_tree(ev, comm, 1)
+        tree = expand_binomial(ev, comm, 1)
         assert [g.total_bytes for g in tree] == [g.total_bytes for g in flat]
 
     def test_single_member(self):
         solo = Communicator("S", (2,))
         ev = CollectiveEvent(caller=2, op=CollectiveOp.BCAST, count=5, comm="S")
-        assert expand_collective_tree(ev, solo, 1) == []
+        assert expand_binomial(ev, solo, 1) == []

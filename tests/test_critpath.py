@@ -373,7 +373,7 @@ class TestIntegration:
         assert err.startswith("error:")
         assert err.rstrip().endswith(
             "available: collectives, critpath, pipeline, routing, scale, "
-            "sweep, telemetry, tenancy"
+            "sim, sweep, telemetry, tenancy"
         )
 
     def test_cli_critpath_single_app(self, capsys):

@@ -1,8 +1,8 @@
 """Quick performance smoke tests (``pytest -m perf`` selects them).
 
 These assert speed *ratios*, never wall times, so they hold on slow CI
-machines.  The heavyweight calibrated benchmark (with the 10x target and
-the BENCH_sim.json artifact) lives in ``benchmarks/test_perf_sim.py``.
+machines.  The heavyweight calibrated measurement (with the 10x target
+and the BENCH_sim.json artifact) is ``repro bench sim``.
 """
 
 from __future__ import annotations

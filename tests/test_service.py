@@ -422,6 +422,29 @@ def _spawn_server(state: Path, socket_path: Path) -> subprocess.Popen:
     )
 
 
+def _proc_stat(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name (state, ppid, ...)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _child_pids(pid: int) -> list[int]:
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(int(entry.name))
+            if stat is not None and int(stat[1]) == pid:
+                kids.append(int(entry.name))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"  # a zombie has exited
+
+
 class TestServerCrashResume:
     def test_sigkilled_server_resumes_from_journal(self, tmp_path):
         state = tmp_path / "state"
@@ -432,7 +455,7 @@ class TestServerCrashResume:
             job = client.submit(spec_to_dict(SERVER_SPEC))["job"]
 
             # Follow the stream until a few cells are journaled, then
-            # SIGKILL the whole server (workers die with it: daemons).
+            # SIGKILL the server; its workers must notice and exit.
             seen = 0
             for event in client.attach(job):
                 if event.get("event") == "cell":
@@ -440,8 +463,14 @@ class TestServerCrashResume:
                     if seen >= 3:
                         break
             assert seen >= 3
+            workers = _child_pids(server.pid)
+            assert len(workers) >= 2
             server.kill()
             server.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers)), "orphaned workers outlived the server"
 
             restarted = _spawn_server(state, socket_path)
             try:

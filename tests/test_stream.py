@@ -454,3 +454,15 @@ class TestScaleBench:
         assert summary["rss_ratio"] < 1.0
         assert data["scale"]["ranks"] == 4096
         assert summary["rows_per_s"] > 0
+
+    def test_scale_bench_reports_the_childs_own_peak(self):
+        """A parent's larger peak RSS must not leak into the child's number
+        (``ru_maxrss`` carries it across ``exec`` on Linux)."""
+        from repro.bench import run_scale_bench
+
+        ballast = np.ones(256 * 2**20 // 8)  # this process now peaks past 256 MB
+        try:
+            data = run_scale_bench(ranks=4096)
+        finally:
+            del ballast
+        assert data["summary"]["peak_rss_mb"] < 200
