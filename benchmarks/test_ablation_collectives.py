@@ -8,7 +8,6 @@ with fewer root-adjacent messages, so the flat model *overstates* hot-spot
 load at the root while log-depth schedules spread it.
 """
 
-import numpy as np
 import pytest
 
 from repro.apps.registry import generate_trace

@@ -5,11 +5,9 @@ traffic matrices → MPI-level metrics → three topology models) and compares
 the shape against the paper's published rows.
 """
 
-import math
-
 import pytest
 
-from repro.analysis.tables import build_table3, render_table3
+from repro.analysis.tables import render_table3
 
 from _bench_utils import once, write_output
 

@@ -12,7 +12,6 @@ Run:  python examples/topology_selection.py [--max-ranks N]
 
 import argparse
 
-import repro
 from repro.analysis import build_table3
 
 

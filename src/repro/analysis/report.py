@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..apps.registry import iter_configurations
+from ..apps.registry import iter_configurations, smallest_configurations
 from ..cache import cached_matrix, cached_trace
 from ..comm.stats import trace_stats
 from ..metrics.heatmap import heatmap_summary
@@ -157,14 +157,8 @@ def build_collective_deltas(
 
     if collectives is None:
         collectives = tuple(COLLECTIVES)
-    smallest: dict[str, int] = {}
-    for app, point in iter_configurations(max_ranks=max_ranks):
-        if point.variant:
-            continue
-        if app.name not in smallest or point.ranks < smallest[app.name]:
-            smallest[app.name] = point.ranks
     rows: list[CollectiveDeltaRow] = []
-    for name, ranks in smallest.items():
+    for name, ranks in smallest_configurations(max_ranks).items():
         trace = cached_trace(name, ranks, seed=seed)
         if collective_volume(trace) == 0:
             continue

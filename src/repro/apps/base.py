@@ -259,28 +259,6 @@ class SyntheticApp(abc.ABC):
             )
         return self._emit_events(meta, p2p_plan, phases, emit_receives)
 
-    def iter_blocks(
-        self,
-        ranks: int,
-        variant: str = "",
-        seed: int = 0,
-        emit_receives: bool = False,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ):
-        """Yield the trace as bounded-size :class:`EventBlock` chunks.
-
-        Each chunk holds at most ``chunk_bytes`` worth of event rows (at
-        least one row), so arbitrarily large configurations stream through
-        a fixed working set.  Concatenating the chunks reproduces
-        :meth:`generate` row-for-row — timestamps are a pure function of
-        the global emission slot, not of chunk boundaries.  With
-        ``emit_receives`` the chunk size is rounded to whole send/recv
-        pairs so a matched pair never splits across chunks.
-        """
-        meta, p2p_plan, phases = self._plan(ranks, variant, seed)
-        max_rows = rows_per_chunk(chunk_bytes)
-        yield from self._iter_plan_blocks(meta, p2p_plan, phases, emit_receives, max_rows)
-
     def stream(
         self,
         ranks: int,
@@ -289,7 +267,14 @@ class SyntheticApp(abc.ABC):
         emit_receives: bool = False,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> BlockStream:
-        """Re-iterable chunked view of one configuration (see :meth:`iter_blocks`).
+        """Re-iterable chunked view of one configuration.
+
+        Each chunk holds at most ``chunk_bytes`` worth of event rows (at
+        least one row).  Concatenating the chunks reproduces
+        :meth:`generate` row-for-row — timestamps are a pure function of
+        the global emission slot, not of chunk boundaries.  With
+        ``emit_receives`` the chunk size is rounded to whole send/recv
+        pairs so a matched pair never splits across chunks.
 
         The calibration plan (per-channel arrays) is built once and shared
         across iterations; only the per-chunk columns are materialized per

@@ -34,6 +34,7 @@ __all__ = [
     "generate_trace",
     "stream_trace",
     "iter_configurations",
+    "smallest_configurations",
 ]
 
 #: All applications in Table-1 order, keyed by name.
@@ -148,3 +149,16 @@ def iter_configurations(
         for point in app.configurations():
             if max_ranks is None or point.ranks <= max_ranks:
                 yield app, point
+
+
+def smallest_configurations(max_ranks: int | None = None) -> dict[str, int]:
+    """``{app: smallest rank count}`` over non-variant configurations.
+
+    Keys come in Table-1 order; ``max_ranks`` bounds the configurations
+    considered, so apps with none in range are absent.
+    """
+    smallest: dict[str, int] = {}
+    for app, point in iter_configurations(max_ranks):
+        if not point.variant:
+            smallest[app.name] = min(point.ranks, smallest.get(app.name, point.ranks))
+    return smallest

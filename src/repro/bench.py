@@ -519,7 +519,7 @@ def run_scale_pipeline(
     this through a fresh subprocess.
     """
     from .apps import stream_trace
-    from .comm.matrix import matrix_from_stream
+    from .comm.matrix import matrix_from_trace
     from .core.stream import DEFAULT_CHUNK_BYTES, BlockStream
     from .metrics.locality import rank_distance, rank_locality
     from .metrics.peers import peers_per_rank
@@ -537,7 +537,7 @@ def run_scale_pipeline(
             counts["chunks"] += 1
             yield block
 
-    matrix = matrix_from_stream(
+    matrix = matrix_from_trace(
         BlockStream(
             stream.meta,
             counted,
@@ -1082,7 +1082,7 @@ def run_collectives_bench() -> dict[str, Any]:
     bytes and torus average hops.  Both are deterministic structural
     ratios; seconds are provenance.
     """
-    from .apps.registry import iter_configurations
+    from .apps.registry import smallest_configurations
     from .cache import cached_trace
     from .collectives import collective_volume, iter_send_groups
     from .comm.matrix import CommMatrixBuilder, matrix_from_trace
@@ -1091,12 +1091,7 @@ def run_collectives_bench() -> dict[str, Any]:
     from .validation.invariants import matrices_identical
 
     # --- flat engine bit-identical on every registry app --------------
-    smallest: dict[str, int] = {}
-    for app, point in iter_configurations():
-        if point.variant:
-            continue
-        if app.name not in smallest or point.ranks < smallest[app.name]:
-            smallest[app.name] = point.ranks
+    smallest = smallest_configurations()
     apps = []
     t0 = time.perf_counter()
     for name in sorted(smallest):

@@ -926,7 +926,7 @@ def _run_command(args) -> int:
         print()
         print(render_interference_report(report))
     elif args.command == "critpath":
-        from .critpath import DEFAULT_PARAMS, analyze_trace, latency_table
+        from .critpath import DEFAULT_MAX_REPEAT, DEFAULT_PARAMS, analyze_trace, latency_table
 
         params = DEFAULT_PARAMS
         overrides = {
@@ -945,11 +945,9 @@ def _run_command(args) -> int:
         if max_repeat == 0:
             max_repeat = None  # exact expansion
         elif max_repeat is None:
-            from .critpath import DEFAULT_MAX_REPEAT
-
             max_repeat = DEFAULT_MAX_REPEAT
         if args.table:
-            rows = analysis.build_latency_rows(
+            rows = latency_table(
                 topology=args.topology if args.topology != "none" else "torus3d",
                 routing=args.routing,
                 max_ranks=args.max_ranks,

@@ -36,7 +36,6 @@ from .translate import (
     collective_volume,
     iter_send_batches,
     iter_send_groups,
-    iter_stream_send_batches,
 )
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "collective_volume",
     "iter_send_batches",
     "iter_send_groups",
-    "iter_stream_send_batches",
 ]

@@ -6,7 +6,9 @@ engine (default ``flat``, the paper's §4.4 expansion).  Two forms:
 
 - :func:`iter_send_groups` — the per-event iterator: one
   :class:`SendGroup` per p2p send, one or two per collective record.
-- :func:`iter_send_batches` — the columnar iterator: whole
+- :func:`iter_send_batches` — the columnar iterator over any block source
+  (a :class:`~repro.core.trace.Trace` or a chunked
+  :class:`~repro.core.stream.BlockStream`): whole
   :class:`~repro.core.blocks.EventBlock` runs expand into a handful of
   fused :class:`SendBatch` arrays (one per block and traffic class /
   collective group), which the traffic-matrix builder consumes without
@@ -24,8 +26,9 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.blocks import KIND_COLLECTIVE, KIND_P2P_SEND, OPS, EventBlock
+from ..core.blocks import KIND_COLLECTIVE, KIND_P2P_SEND, OPS
 from ..core.events import CollectiveEvent, P2PEvent
+from ..core.stream import BlockStream
 from ..core.trace import Trace
 from .base import CollectiveAlgorithm
 from .patterns import SendGroup
@@ -37,7 +40,6 @@ __all__ = [
     "SendBatch",
     "iter_send_groups",
     "iter_send_batches",
-    "iter_stream_send_batches",
     "collective_volume",
 ]
 
@@ -141,47 +143,53 @@ def iter_send_groups(
                 yield ClassifiedSends(group, TrafficClass.COLLECTIVE)
 
 
-def _block_batches(
-    datatypes,
-    communicators,
-    block: EventBlock,
-    include_p2p: bool,
-    include_collectives: bool,
-    engine: CollectiveAlgorithm,
+def iter_send_batches(
+    source: Trace | BlockStream,
+    include_p2p: bool = True,
+    include_collectives: bool = True,
+    collective: str | CollectiveAlgorithm = "flat",
 ) -> Iterator[SendBatch]:
-    """Expand one block's rows against explicit datatype/communicator tables.
+    """Columnar counterpart of :func:`iter_send_groups`.
 
-    Taking the tables instead of a :class:`Trace` lets the same expansion
-    serve both whole traces and :class:`~repro.core.stream.BlockStream`
-    chunks; each block is self-contained (its name tables intern everything
-    its rows reference), so expansion is chunk-local and the translated
-    message multiset is independent of where chunk boundaries fall.
+    ``source`` is any block source: a :class:`Trace` (an event-object trace
+    is blockified first) or a :class:`BlockStream`.  Its
+    :class:`~repro.core.blocks.EventBlock` columns expand into fused
+    message batches, one block at a time, so a stream's peak memory is one
+    chunk plus its fan-out.  Each block is self-contained (its name tables
+    intern everything its rows reference) and collective expansion is
+    per-caller-row independent, so the message multiset does not depend on
+    where block boundaries fall.
     """
-    sizes = np.array(
-        [datatypes.size_of(name) for name in block.dtype_names],
-        dtype=np.int64,
-    )
-    if include_p2p:
-        mask = block.kind == KIND_P2P_SEND
-        if mask.any():
-            yield SendBatch(
-                src=block.caller[mask],
-                dst=block.peer[mask],
-                bytes_per_msg=block.count[mask] * sizes[block.dtype_id[mask]],
-                calls=block.repeat[mask],
-                traffic_class=TrafficClass.P2P,
-            )
-    if include_collectives:
+    engine = get_algorithm(collective)
+    datatypes = source.datatypes
+    communicators = source.communicators
+    assert communicators is not None
+    for block in source.blocks():
+        sizes = np.array(
+            [datatypes.size_of(name) for name in block.dtype_names],
+            dtype=np.int64,
+        )
+        if include_p2p:
+            mask = block.kind == KIND_P2P_SEND
+            if mask.any():
+                yield SendBatch(
+                    src=block.caller[mask],
+                    dst=block.peer[mask],
+                    bytes_per_msg=block.count[mask] * sizes[block.dtype_id[mask]],
+                    calls=block.repeat[mask],
+                    traffic_class=TrafficClass.P2P,
+                )
+        if not include_collectives:
+            continue
         mask = block.kind == KIND_COLLECTIVE
         if not mask.any():
-            return
+            continue
         callers = block.caller[mask]
         nbytes = block.count[mask] * sizes[block.dtype_id[mask]]
         roots = block.root[mask]
         calls = block.repeat[mask]
         ops = block.op[mask].astype(np.int64)
         comm_ids = block.comm_id[mask].astype(np.int64)
-        assert communicators is not None
         # one expansion per distinct (op, communicator) pair in the block
         group_key = ops * len(block.comm_names) + comm_ids
         for key in np.unique(group_key):
@@ -196,71 +204,13 @@ def _block_batches(
                 yield SendBatch(src, dst, bpm, cls, TrafficClass.COLLECTIVE)
 
 
-def iter_send_batches(
-    trace: Trace,
-    include_p2p: bool = True,
-    include_collectives: bool = True,
-    collective: str | CollectiveAlgorithm = "flat",
-) -> Iterator[SendBatch]:
-    """Columnar counterpart of :func:`iter_send_groups`.
-
-    Expands the trace's :class:`~repro.core.blocks.EventBlock` columns into
-    fused message batches.  Works for any trace (an event-object trace is
-    blockified first); block-native traces pay no per-event cost at all.
-    """
-    assert trace.communicators is not None
-    engine = get_algorithm(collective)
-    for block in trace.blocks():
-        yield from _block_batches(
-            trace.datatypes,
-            trace.communicators,
-            block,
-            include_p2p,
-            include_collectives,
-            engine,
-        )
-
-
-def iter_stream_send_batches(
-    stream,
-    include_p2p: bool = True,
-    include_collectives: bool = True,
-    collective: str | CollectiveAlgorithm = "flat",
-) -> Iterator[SendBatch]:
-    """Chunked collective expansion over a :class:`~repro.core.stream.BlockStream`.
-
-    One chunk is expanded at a time, so peak memory is bounded by the chunk
-    size plus its fan-out, never the whole trace.  Yields the same message
-    multiset as :func:`iter_send_batches` over the materialized trace
-    (collective expansion is per-caller-row independent, so a phase
-    spanning a chunk boundary expands identically).
-    """
-    engine = get_algorithm(collective)
-    for block in stream:
-        yield from _block_batches(
-            stream.datatypes,
-            stream.communicators,
-            block,
-            include_p2p,
-            include_collectives,
-            engine,
-        )
-
-
 def collective_volume(
     trace: Trace, collective: str | CollectiveAlgorithm = "flat"
 ) -> int:
     """Total bytes the trace's collectives put on the network once expanded."""
-    if trace.has_native_blocks:
-        return sum(
-            batch.total_bytes
-            for batch in iter_send_batches(
-                trace, include_p2p=False, collective=collective
-            )
+    return sum(
+        batch.total_bytes
+        for batch in iter_send_batches(
+            trace, include_p2p=False, collective=collective
         )
-    total = 0
-    for classified in iter_send_groups(
-        trace, include_p2p=False, collective=collective
-    ):
-        total += classified.group.total_bytes
-    return total
+    )

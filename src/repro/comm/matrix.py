@@ -21,25 +21,20 @@ import numpy as np
 
 from .. import timings
 from ..collectives.patterns import SendGroup
-from ..collectives.translate import (
-    SendBatch,
-    iter_send_batches,
-    iter_send_groups,
-    iter_stream_send_batches,
-)
+from ..collectives.translate import SendBatch, iter_send_batches, iter_send_groups
 from ..core.packets import MAX_PAYLOAD_BYTES, packets_for_bytes_array
+from ..core.stream import BlockStream
 from ..core.trace import Trace
 
 __all__ = [
     "CommMatrix",
     "CommMatrixBuilder",
     "matrix_from_trace",
-    "matrix_from_stream",
     "DEFAULT_COMPACT_ROWS",
 ]
 
-#: Pending-row threshold at which the streaming builder folds duplicates
-#: (~2M rows of five int64 columns ≈ 80 MB of working set).
+#: Pending-row threshold at which :func:`matrix_from_trace` folds
+#: duplicates (~2M rows of five int64 columns ≈ 80 MB of working set).
 DEFAULT_COMPACT_ROWS = 1 << 21
 
 
@@ -258,9 +253,8 @@ class CommMatrixBuilder:
 
         Per-pair int64 sums are associative, so compacting mid-build can
         never change the finalized matrix — it only bounds the pending
-        working set near the distinct-pair count.  The streaming matrix
-        build calls this whenever :attr:`pending_rows` crosses its
-        threshold.
+        working set near the distinct-pair count.  :func:`matrix_from_trace`
+        calls this whenever :attr:`pending_rows` reaches its threshold.
         """
         if not self._src:
             return
@@ -330,29 +324,44 @@ class CommMatrixBuilder:
 
 
 def matrix_from_trace(
-    trace: Trace,
+    source: Trace | BlockStream,
     include_p2p: bool = True,
     include_collectives: bool = True,
     payload: int = MAX_PAYLOAD_BYTES,
     collective: str = "flat",
+    compact_rows: int = DEFAULT_COMPACT_ROWS,
 ) -> CommMatrix:
-    """Build a traffic matrix from a trace.
+    """Build a traffic matrix from a block source.
 
+    ``source`` is a :class:`Trace` or a chunked :class:`BlockStream`.
     MPI-level metric analyses (§5) use ``include_collectives=False`` — the
-    paper considers only point-to-point messages there, treating collectives
-    on global communicators as a uniform bias.  Topology analyses (§6) use
-    both, with collectives expanded through the ``collective`` engine
-    (default the paper's flat §4.4 patterns).
+    paper considers only point-to-point messages there, treating
+    collectives on global communicators as a uniform bias.  Topology
+    analyses (§6) use both, with collectives expanded through the
+    ``collective`` engine (default the paper's flat §4.4 patterns).
+
+    Blocks are expanded and accumulated one at a time; whenever the pending
+    row count has reached ``compact_rows`` the builder folds duplicates
+    before taking the next batch, so a stream's peak memory is bounded by
+    ``O(chunk + distinct pairs)`` rather than its translated message
+    count.  Compaction is an exact int64 fold and never changes the result.
     """
     with timings.stage("matrix"):
-        builder = CommMatrixBuilder(trace.meta.num_ranks, payload=payload)
+        builder = CommMatrixBuilder(source.meta.num_ranks, payload=payload)
 
-        # Columnar fast path: block-native traces expand straight from their
-        # arrays — no event objects, no per-message allocation.
-        if trace.has_native_blocks:
+        # Block path: block-native traces and streams expand straight from
+        # their arrays — no event objects, no per-message allocation.
+        if not isinstance(source, Trace) or source.has_native_blocks:
+            # Re-arm above the post-compact row count so a matrix whose
+            # distinct-pair count exceeds the threshold still amortizes
+            # (never recompacts until the pending set doubles).
+            next_compact = compact_rows
             for batch in iter_send_batches(
-                trace, include_p2p, include_collectives, collective=collective
+                source, include_p2p, include_collectives, collective=collective
             ):
+                if builder.pending_rows >= next_compact:
+                    builder.compact()
+                    next_compact = max(compact_rows, 2 * builder.pending_rows)
                 builder.add_batch(batch)
             return builder.finalize()
 
@@ -364,8 +373,8 @@ def matrix_from_trace(
             dst: list[int] = []
             per_msg: list[int] = []
             calls: list[int] = []
-            size_of = trace.datatypes.size_of
-            for ev in trace.iter_p2p_sends():
+            size_of = source.datatypes.size_of
+            for ev in source.iter_p2p_sends():
                 src.append(ev.caller)
                 dst.append(ev.peer)
                 per_msg.append(ev.count * size_of(ev.dtype))
@@ -383,40 +392,7 @@ def matrix_from_trace(
 
         if include_collectives:
             for classified in iter_send_groups(
-                trace, include_p2p=False, collective=collective
+                source, include_p2p=False, collective=collective
             ):
                 builder.add_group(classified.group)
-        return builder.finalize()
-
-
-def matrix_from_stream(
-    stream,
-    include_p2p: bool = True,
-    include_collectives: bool = True,
-    payload: int = MAX_PAYLOAD_BYTES,
-    compact_rows: int = DEFAULT_COMPACT_ROWS,
-    collective: str = "flat",
-) -> CommMatrix:
-    """Build a traffic matrix incrementally from a :class:`BlockStream`.
-
-    Chunks are expanded and accumulated one at a time; whenever the pending
-    row count crosses ``compact_rows`` the builder folds duplicates in
-    place, so peak memory is bounded by ``O(chunk + distinct pairs)``
-    rather than the total translated message count.  Compaction is an
-    exact int64 fold, so the result is bit-identical to
-    :func:`matrix_from_trace` over the materialized trace.
-    """
-    with timings.stage("matrix"):
-        builder = CommMatrixBuilder(stream.meta.num_ranks, payload=payload)
-        # Re-arm above the post-compact row count so a matrix whose
-        # distinct-pair count exceeds the threshold still amortizes
-        # (never recompacts until the pending set doubles).
-        next_compact = compact_rows
-        for batch in iter_stream_send_batches(
-            stream, include_p2p, include_collectives, collective=collective
-        ):
-            builder.add_batch(batch)
-            if builder.pending_rows >= next_compact:
-                builder.compact()
-                next_compact = max(compact_rows, 2 * builder.pending_rows)
         return builder.finalize()

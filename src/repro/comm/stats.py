@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..collectives.translate import TrafficClass, iter_send_batches, iter_send_groups
+from ..collectives.translate import TrafficClass, iter_send_batches
 from ..core.blocks import KIND_COLLECTIVE
 from ..core.trace import Trace
 
@@ -91,36 +91,22 @@ def trace_stats(trace: Trace) -> TraceStats:
     p2p = 0
     wire = 0
     logical = 0
-    if trace.has_native_blocks:
-        for batch in iter_send_batches(trace):
-            if batch.traffic_class is TrafficClass.P2P:
-                p2p += batch.total_bytes
-            else:
-                wire += batch.total_bytes
-        for block in trace.blocks():
-            mask = block.kind == KIND_COLLECTIVE
-            if not mask.any():
-                continue
-            sizes = np.array(
-                [trace.datatypes.size_of(n) for n in block.dtype_names],
-                dtype=np.int64,
-            )
-            logical += int(
-                (
-                    block.count[mask]
-                    * sizes[block.dtype_id[mask]]
-                    * block.repeat[mask]
-                ).sum()
-            )
-    else:
-        for classified in iter_send_groups(trace):
-            if classified.traffic_class is TrafficClass.P2P:
-                p2p += classified.group.total_bytes
-            else:
-                wire += classified.group.total_bytes
-        for ev in trace.iter_collectives():
-            elem = trace.datatypes.size_of(ev.dtype)
-            logical += ev.count * elem * ev.repeat
+    for batch in iter_send_batches(trace):
+        if batch.traffic_class is TrafficClass.P2P:
+            p2p += batch.total_bytes
+        else:
+            wire += batch.total_bytes
+    for block in trace.blocks():
+        mask = block.kind == KIND_COLLECTIVE
+        if not mask.any():
+            continue
+        sizes = np.array(
+            [trace.datatypes.size_of(n) for n in block.dtype_names],
+            dtype=np.int64,
+        )
+        logical += int(
+            (block.count[mask] * sizes[block.dtype_id[mask]] * block.repeat[mask]).sum()
+        )
 
     return TraceStats(
         app=trace.meta.app,

@@ -1,12 +1,16 @@
 """Bounded-memory streaming over :class:`~repro.core.blocks.EventBlock` runs.
 
-A :class:`BlockStream` is a trace whose records never have to fit in RAM: it
-carries the same identity a :class:`~repro.core.trace.Trace` does (metadata,
-datatype registry, communicator table) but yields its event blocks from a
+A :class:`BlockStream` is a trace whose records never have to fit in RAM.
+It is the same kind of block source a :class:`~repro.core.trace.Trace` is:
+both carry ``meta``, ``datatypes`` and ``communicators`` and yield their
+event blocks from ``blocks()``, so every consumer (collective expansion in
+:func:`~repro.collectives.translate.iter_send_batches`, the traffic matrix
+in :func:`~repro.comm.matrix.matrix_from_trace`, and through it the
+simulator) takes either one.  A stream yields its blocks from a
 re-invocable factory, one bounded chunk at a time.  Three sources feed it:
 
 - **generators** — every synthetic app can emit its plan in chunk-size
-  slices (:meth:`repro.apps.base.SyntheticApp.iter_blocks`), so a
+  slices (:meth:`repro.apps.base.SyntheticApp.stream`), so a
   million-rank trace is produced without ever materializing it;
 - **spill files** — :func:`write_spill` persists a stream as one ``.npy``
   segment file per chunk column plus a JSON manifest, and
@@ -20,10 +24,9 @@ re-invocable factory, one bounded chunk at a time.  Three sources feed it:
   in-memory path chunk by chunk.
 
 Chunking is pure row slicing: the per-row columns of a sliced block are
-views of the source block, and every streaming consumer (traffic matrix,
-collective expansion, sim ingestion) is pinned bit-identical to the
-monolithic path — summation over int64 per-pair keys is associative, so the
-partition never shows in any result.
+views of the source block, and every consumer is pinned bit-identical
+across chunkings — summation over int64 per-pair keys is associative, so
+the partition never shows in any result.
 """
 
 from __future__ import annotations
@@ -139,6 +142,10 @@ class BlockStream:
         for block in self._factory():
             if len(block):
                 yield block
+
+    def blocks(self) -> Iterator[EventBlock]:
+        """One pass over the non-empty blocks (cf. :meth:`Trace.blocks`)."""
+        return iter(self)
 
     # -- construction -------------------------------------------------------
 

@@ -243,18 +243,14 @@ def latency_table(
     consecutive mapping.  Rows come back in registry order, ready for
     :func:`repro.analysis.tables.render_latency_table`.
     """
-    from ..apps.registry import iter_configurations
+    from ..apps.registry import smallest_configurations
     from ..cache import cached_trace
     from ..topology.configs import build_topology
 
-    smallest: dict[str, int] = {}
-    for app, point in iter_configurations(max_ranks):
-        if apps is not None and app.name not in apps:
-            continue
-        if app.name not in smallest or point.ranks < smallest[app.name]:
-            smallest[app.name] = point.ranks
     rows: list[CritPathAnalysis] = []
-    for name, ranks in smallest.items():
+    for name, ranks in smallest_configurations(max_ranks).items():
+        if apps is not None and name not in apps:
+            continue
         trace = cached_trace(name, ranks)
         topo = build_topology(topology, ranks)
         analysis = analyze_trace(

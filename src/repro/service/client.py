@@ -17,7 +17,7 @@ import json
 import os
 import socket
 import time
-from typing import Any, Iterator
+from typing import Iterator
 
 __all__ = ["ServiceError", "SweepClient"]
 

@@ -39,11 +39,7 @@ from .invariants import (
     matrices_identical,
     traces_identical,
 )
-from .suite import (
-    attach_simulation,
-    build_static_context,
-    simulation_volume_scale,
-)
+from .suite import build_static_context, simulation_volume_scale
 
 __all__ = [
     "CI_SEEDS",

@@ -20,8 +20,6 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..apps.registry import iter_configurations
 from ..cache import cached_matrix, cached_route_incidence, cached_trace
 from ..mapping.base import Mapping

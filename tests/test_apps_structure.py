@@ -14,7 +14,7 @@ import pytest
 from repro.apps.registry import generate_trace
 from repro.comm.matrix import matrix_from_trace
 from repro.comm.stats import trace_stats
-from repro.core.events import CollectiveEvent, CollectiveOp
+from repro.core.events import CollectiveOp
 from repro.metrics.dimensionality import grid_shape, locality_by_dimension
 from repro.metrics.locality import rank_distance
 from repro.metrics.peers import peers, peers_per_rank

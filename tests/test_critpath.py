@@ -13,7 +13,6 @@ from repro.critpath import (
     DEFAULT_PARAMS,
     CycleError,
     EDGE_COLLECTIVE,
-    EDGE_P2P,
     EDGE_PROGRAM,
     HappensBeforeDag,
     LogGPParams,
@@ -26,10 +25,11 @@ from repro.critpath import (
     ensure_receives,
     expand_events,
     latency_sensitivity,
+    latency_table,
     match_events,
     match_events_oracle,
 )
-from repro.analysis.tables import build_latency_rows, render_latency_table
+from repro.analysis.tables import render_latency_table
 
 from helpers import make_trace
 
@@ -289,7 +289,7 @@ class TestSensitivity:
         )
 
     def test_latency_table_renders_with_na(self):
-        rows = build_latency_rows(max_ranks=16, fd_check=False)
+        rows = latency_table(max_ranks=16, fd_check=False)
         assert rows
         text = render_latency_table(rows)
         assert "dT/dL" in text
@@ -384,3 +384,14 @@ class TestIntegration:
         assert "critical path" in out
         assert "dT/dL" in out
         assert "rel err 0.00e+00" in out
+
+    def test_cli_table_max_repeat_zero_is_exact(self, capsys):
+        from repro.cli import main
+
+        args = ["critpath", "--table", "--max-ranks", "27", "--no-fd"]
+        assert main(args + ["--max-repeat", "0"]) == 0
+        exact = capsys.readouterr().out
+        assert main(args + ["--max-repeat", "64"]) == 0
+        assert capsys.readouterr().out != exact
+        rows = latency_table(max_ranks=27, max_repeat=None, fd_check=False)
+        assert exact == render_latency_table(rows) + "\n"

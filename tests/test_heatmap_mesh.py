@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.comm.matrix import matrix_from_trace
 from repro.metrics.heatmap import downsample, heatmap_summary, render_ascii
 from repro.topology.mesh import Mesh3D
 from repro.topology.torus import Torus3D

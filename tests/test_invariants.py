@@ -28,7 +28,6 @@ from repro.topology.dragonfly import Dragonfly
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D
 from repro.validation import (
-    REGISTRY,
     CheckContext,
     all_invariants,
     draw_case,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.matrix import CommMatrix, CommMatrixBuilder, matrix_from_trace
+from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
 from repro.core.events import CollectiveEvent, CollectiveOp, P2PEvent
 
 from helpers import make_matrix, make_trace

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.routing import ROUTINGS, get_policy
-from repro.routing.base import RoutingPolicy
 from repro.routing.minimal import MinimalRouting
 from repro.routing.validate import link_endpoints, walks_are_valid
 from repro.sim.common import prepare_simulation

@@ -1,9 +1,7 @@
 """Tests for the dynamic packet-level simulator."""
 
-import numpy as np
 import pytest
 
-from repro.mapping.base import Mapping
 from repro.sim.engine import simulate_network
 from repro.topology.fattree import FatTree
 from repro.topology.torus import Torus3D

@@ -18,7 +18,7 @@ import pytest
 from helpers import make_matrix
 
 from repro.comm.matrix import matrix_from_trace
-from repro.sim import simulate_network, simulate_network_reference
+from repro.sim import simulate_network
 from repro.sim.common import prepare_simulation
 from repro.sim.engine import run_batched
 from repro.sim.reference import run_reference
@@ -131,13 +131,6 @@ class TestDispatch:
         reference = simulate_network(matrix, FatTree(8, 3), engine="reference", **kw)
         assert_bit_identical(auto, batched)
         assert_bit_identical(auto, reference)
-
-    def test_reference_entrypoint_matches(self):
-        matrix = _spread_matrix(27, seed=4)
-        kw = dict(execution_time=4e-4, seed=2)
-        a = simulate_network(matrix, Torus3D((3, 3, 3)), **kw)
-        b = simulate_network_reference(matrix, Torus3D((3, 3, 3)), **kw)
-        assert_bit_identical(a, b)
 
     def test_unknown_engine_rejected(self):
         matrix = make_matrix(8, [(0, 1, 4096)])

@@ -1,10 +1,12 @@
 """Out-of-core streaming: chunked emission, spill, and consumer identity.
 
-The contract under test: a :class:`~repro.core.stream.BlockStream` feeds
-every consumer — traffic matrices, locality metrics, both simulation
-engines — bit-identically to the monolithic in-memory path, regardless of
-chunk boundaries (empty chunks, single-row chunks, collectives split
-mid-phase), and spill directories survive a process restart memory-mapped.
+The contract under test: a :class:`~repro.core.stream.BlockStream` is a
+block source like a :class:`~repro.core.trace.Trace` and feeds the one
+traffic path — collective expansion, traffic matrices, locality metrics,
+both simulation engines — bit-identically to the monolithic in-memory
+trace, regardless of chunk boundaries (empty chunks, single-row chunks,
+collectives split mid-phase), and spill directories survive a process
+restart memory-mapped.
 """
 
 from __future__ import annotations
@@ -20,19 +22,20 @@ import numpy as np
 import pytest
 
 from repro.apps import SCALE_APPS, app_names, get_app, stream_trace
-from repro.collectives.translate import iter_send_batches, iter_stream_send_batches
-from repro.comm.matrix import matrix_from_stream, matrix_from_trace
+from repro.collectives.translate import iter_send_batches
+from repro.comm.matrix import CommMatrixBuilder, matrix_from_trace
 from repro.core.blocks import KIND_P2P_RECV, KIND_P2P_SEND
 from repro.core.stream import (
     DEFAULT_CHUNK_BYTES,
     ROW_BYTES,
     BlockStream,
+    open_spill,
     rows_per_chunk,
     slice_block,
     write_spill,
 )
 from repro.metrics.locality import rank_distance
-from repro.sim.engine import simulate_network, simulate_stream
+from repro.sim.engine import simulate_network
 from repro.validation.base import run_invariants
 from repro.validation.invariants import matrices_identical, traces_identical
 
@@ -80,7 +83,7 @@ class TestChunking:
         )
         assert all(len(b) for b in stream)
         assert matrices_identical(
-            matrix_from_stream(stream), matrix_from_trace(trace)
+            matrix_from_trace(stream), matrix_from_trace(trace)
         )
 
     def test_single_row_chunks(self):
@@ -90,7 +93,7 @@ class TestChunking:
         assert all(len(b) == 1 for b in blocks)
         assert len(blocks) == stream.num_rows()
         assert matrices_identical(
-            matrix_from_stream(stream), matrix_from_trace(trace)
+            matrix_from_trace(stream), matrix_from_trace(trace)
         )
 
     def test_collective_spanning_chunk_boundary(self):
@@ -99,10 +102,10 @@ class TestChunking:
         trace = get_app("BigFFT").generate(9)
         stream = BlockStream.from_trace(trace).rechunk(3 * ROW_BYTES)
         assert matrices_identical(
-            matrix_from_stream(stream), matrix_from_trace(trace)
+            matrix_from_trace(stream), matrix_from_trace(trace)
         )
         assert matrices_identical(
-            matrix_from_stream(stream, include_collectives=False),
+            matrix_from_trace(stream, include_collectives=False),
             matrix_from_trace(trace, include_collectives=False),
         )
 
@@ -115,7 +118,7 @@ class TestChunking:
         ]
         streamed = [
             (b.src, b.dst, b.bytes_per_msg, b.calls)
-            for b in iter_stream_send_batches(stream)
+            for b in iter_send_batches(stream)
         ]
 
         def cat(parts, i):
@@ -135,10 +138,10 @@ class TestGeneratorStreaming:
         stream = stream_trace(name, ranks, chunk_bytes=4096)
         for include in (True, False):
             expected = matrix_from_trace(trace, include_collectives=include)
-            streamed = matrix_from_stream(stream, include_collectives=include)
+            streamed = matrix_from_trace(stream, include_collectives=include)
             assert matrices_identical(streamed, expected)
         p2p_expected = matrix_from_trace(trace, include_collectives=False)
-        p2p_streamed = matrix_from_stream(stream, include_collectives=False)
+        p2p_streamed = matrix_from_trace(stream, include_collectives=False)
         _assert_same_metric(
             rank_distance(p2p_streamed), rank_distance(p2p_expected)
         )
@@ -166,14 +169,14 @@ class TestGeneratorStreaming:
 
     def test_streaming_is_reiterable(self):
         stream = stream_trace("AMG", 27, chunk_bytes=4096)
-        first = matrix_from_stream(stream)
-        second = matrix_from_stream(stream)
+        first = matrix_from_trace(stream)
+        second = matrix_from_trace(stream)
         assert matrices_identical(first, second)
 
     def test_compaction_threshold_does_not_change_result(self):
         stream = stream_trace("SNAP", 168, chunk_bytes=2048)
-        expected = matrix_from_stream(stream)
-        aggressive = matrix_from_stream(stream, compact_rows=1)
+        expected = matrix_from_trace(stream)
+        aggressive = matrix_from_trace(stream, compact_rows=1)
         assert matrices_identical(aggressive, expected)
 
 
@@ -196,7 +199,7 @@ class TestStreamingSimulation:
             engine=engine,
         )
         stream = BlockStream.from_trace(trace).rechunk(4096)
-        streamed = simulate_stream(stream, topology, **kwargs)
+        streamed = simulate_network(matrix_from_trace(stream), topology, **kwargs)
         direct = simulate_network(matrix, topology, **kwargs)
         assert streamed == direct
         assert np.array_equal(streamed.link_ids, direct.link_ids)
@@ -311,22 +314,24 @@ _DUMPI_SUBCOMM = textwrap.dedent(
 )
 
 
-class TestDumpiStreaming:
-    def _write_dir(self, directory, bodies):
-        for rank, body in enumerate(bodies):
-            (directory / f"dumpi-2020-{rank:04d}.txt").write_text(body)
+#: Four rank files: sends, a receive, and a world allreduce on every rank.
+_DUMPI_BODIES = [
+    _DUMPI_SEND + _DUMPI_ALLREDUCE,
+    _DUMPI_ALLREDUCE,
+    _DUMPI_SEND + _DUMPI_SEND + _DUMPI_ALLREDUCE,
+    _DUMPI_RECV + _DUMPI_ALLREDUCE,
+]
 
+
+def _write_dumpi_dir(directory, bodies):
+    for rank, body in enumerate(bodies):
+        (directory / f"dumpi-2020-{rank:04d}.txt").write_text(body)
+
+
+class TestDumpiStreaming:
     @pytest.fixture()
     def dumpi_dir(self, tmp_path):
-        self._write_dir(
-            tmp_path,
-            [
-                _DUMPI_SEND + _DUMPI_ALLREDUCE,
-                _DUMPI_ALLREDUCE,
-                _DUMPI_SEND + _DUMPI_SEND + _DUMPI_ALLREDUCE,
-                _DUMPI_RECV + _DUMPI_ALLREDUCE,
-            ],
-        )
+        _write_dumpi_dir(tmp_path, _DUMPI_BODIES)
         return tmp_path
 
     def test_matrix_matches_in_memory_loader(self, dumpi_dir):
@@ -342,7 +347,7 @@ class TestDumpiStreaming:
         assert stream.num_rows() == sum(len(b) for b in trace.blocks())
         for include in (True, False):
             assert matrices_identical(
-                matrix_from_stream(stream, include_collectives=include),
+                matrix_from_trace(stream, include_collectives=include),
                 matrix_from_trace(trace, include_collectives=include),
             )
 
@@ -356,7 +361,7 @@ class TestDumpiStreaming:
         stream = stream_dumpi2ascii_dir(dumpi_dir, app="real", chunk_bytes=1)
         assert all(len(b) == 1 for b in stream)
         assert matrices_identical(
-            matrix_from_stream(stream), matrix_from_trace(trace)
+            matrix_from_trace(stream), matrix_from_trace(trace)
         )
 
     def test_times_normalized_to_zero(self, dumpi_dir):
@@ -372,9 +377,56 @@ class TestDumpiStreaming:
             stream_dumpi2ascii_dir,
         )
 
-        self._write_dir(tmp_path, [_DUMPI_SEND, _DUMPI_SUBCOMM])
+        _write_dumpi_dir(tmp_path, [_DUMPI_SEND, _DUMPI_SUBCOMM])
         with pytest.raises(UnsupportedCommunicatorError):
             stream_dumpi2ascii_dir(tmp_path, app="real")
+
+
+# ------------------------------------------------------- one traffic path
+
+
+def _generator_source(tmp_path):
+    # 3-row chunks split every BigFFT collective phase across chunks.
+    stream = stream_trace("BigFFT", 9, chunk_bytes=3 * ROW_BYTES)
+    return get_app("BigFFT").generate(9), stream
+
+
+def _spill_source(tmp_path):
+    trace = get_app("MiniFE").generate(18)
+    spill = write_spill(
+        BlockStream.from_trace(trace).rechunk(4096), tmp_path / "minife.spill"
+    )
+    return trace, open_spill(spill)
+
+
+def _dumpi_source(tmp_path):
+    from repro.dumpi.ascii_dumpi import load_dumpi2ascii_dir, stream_dumpi2ascii_dir
+
+    _write_dumpi_dir(tmp_path, _DUMPI_BODIES)
+    return (
+        load_dumpi2ascii_dir(tmp_path, app="real"),
+        stream_dumpi2ascii_dir(tmp_path, app="real", chunk_bytes=1),
+    )
+
+
+class TestOneTrafficPath:
+    """Streams are block sources: the trace path reads them unchanged."""
+
+    @pytest.mark.parametrize(
+        "make_source",
+        [_generator_source, _spill_source, _dumpi_source],
+        ids=["stream_trace", "open_spill", "stream_dumpi2ascii_dir"],
+    )
+    def test_stream_sources_match_in_memory_matrix(self, make_source, tmp_path):
+        trace, stream = make_source(tmp_path)
+        expected = matrix_from_trace(trace)
+        builder = CommMatrixBuilder(stream.meta.num_ranks)
+        for batch in iter_send_batches(stream):
+            builder.add_batch(batch)
+        assert matrices_identical(builder.finalize(), expected)
+        assert matrices_identical(
+            matrix_from_trace(stream, compact_rows=1), expected
+        )
 
 
 # ------------------------------------------------------------ invariant

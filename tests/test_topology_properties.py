@@ -7,7 +7,6 @@ agreement, and link-id validity.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.dragonfly import Dragonfly

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.communicator import Communicator
 from repro.core.events import CollectiveEvent, CollectiveOp, Direction, P2PEvent
-from repro.core.trace import Trace, TraceMetadata
+from repro.core.trace import TraceMetadata
 
 from helpers import make_trace
 
