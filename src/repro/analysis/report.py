@@ -15,11 +15,11 @@ from ..apps.registry import iter_configurations, smallest_configurations
 from ..cache import cached_matrix, cached_trace
 from ..comm.stats import trace_stats
 from ..metrics.heatmap import heatmap_summary
-from ..metrics.summary import mpi_level_metrics
 from ..model.energy import EnergyModel
 from ..model.engine import analyze_network
-from ..topology.configs import TOPOLOGY_KINDS, build_all, build_topology
+from ..topology.configs import TOPOLOGY_KINDS, build_topology
 from ..util import fmt_float
+from .tables import build_table3_row
 
 __all__ = [
     "WorkloadReport",
@@ -64,14 +64,9 @@ def build_report(
         trace = cached_trace(app.name, point.ranks, variant=point.variant, seed=seed)
         stats = trace_stats(trace)
         p2p = cached_matrix(trace, include_collectives=False)
-        metrics = mpi_level_metrics(trace, p2p)
+        row = build_table3_row(trace, p2p)
+        metrics, analyses = row.metrics, row.network
         heat = heatmap_summary(p2p)
-
-        full = cached_matrix(trace)
-        analyses = {
-            kind: analyze_network(full, topology, execution_time=point.time_s)
-            for kind, topology in build_all(point.ranks).items()
-        }
         best = min(analyses, key=lambda k: analyses[k].avg_hops)
         max_util = max(a.utilization for a in analyses.values())
         energy = model.report(analyses[best])

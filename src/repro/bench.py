@@ -1,12 +1,14 @@
 """Performance and correctness gates behind ``repro bench``.
 
 Every target lives in one registry, :data:`BENCHES`.  A :class:`Bench`
-names the function that measures the target, the renderer for its table,
-and its gates as data: ``Gate(name, value, op, bound, timing)``, where
-``value`` pulls one number (or flag) out of the measurement.
-:func:`run_bench` measures a target and evaluates its gates into a
-``gates`` list stored in the artifact.  A missing value (``None``, e.g.
-peak RSS on a platform that cannot measure it) fails its gate.
+names the function that measures the target and its gates as data:
+``Gate(name, value, op, bound, timing)``, where ``value`` pulls one number
+(or flag) out of the measurement.  :func:`run_bench` measures a target and
+evaluates its gates into a ``gates`` list stored in the artifact.  A
+missing value (``None``, e.g. peak RSS on a platform that cannot measure
+it) fails its gate.  Every artifact prints the same way: one line per
+scalar leaf (:func:`render_bench`), then the gate table
+(:func:`render_gates`).
 
 Timing gates are same-machine speed ratios, asserted only by the perf
 suite (``pytest -m perf benchmarks/test_perf_bench.py``); ``repro bench``
@@ -24,7 +26,7 @@ import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "Bench",
     "Gate",
     "evaluate_gates",
+    "render_bench",
     "render_gates",
     "run_bench",
     "write_bench",
@@ -67,9 +70,18 @@ SWEEP_BENCH_APPS = (
     ("MOCFE", 256),
 )
 
+#: ``repro bench routing``: the scale whose topologies are routed, and the
+#: seed of the random pairs and of the randomized policies.
+ROUTING_RANKS = 1728
+ROUTING_SEED = 0
+
 #: The 500k-packet dragonfly simulation shared by ``sim`` and ``telemetry``.
 SIM_EXECUTION_TIME = 1.1e-3
 SIM_SEED = 7
+
+#: ``repro bench telemetry``: collector windows and timing rounds.
+TELEMETRY_WINDOWS = 48
+TELEMETRY_REPEATS = 6
 
 TENANCY_VOLUME_SCALE = 64.0
 TENANCY_MAX_PACKETS = 5_000_000
@@ -108,7 +120,6 @@ class Bench:
     """
 
     run: Callable[..., dict[str, Any]]
-    render: Callable[[dict[str, Any]], str]
     gates: tuple[Gate, ...]
     options: tuple[str, ...] = ()
 
@@ -127,8 +138,26 @@ def evaluate_gates(
     return out
 
 
+def render_bench(data: dict[str, Any]) -> str:
+    """One ``dotted.path value`` line per scalar leaf of an artifact, in its
+    order, with dict keys and list indices as the path segments.  The
+    ``gates`` list is left to :func:`render_gates`."""
+    return "\n".join(
+        line for key, value in data.items() if key != "gates" for line in _leaves(key, value)
+    )
+
+
+def _leaves(path: str, node: Any) -> Iterator[str]:
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(f"{path}.{key}", child)
+    else:
+        yield f"{path} {node}"
+
+
 def render_gates(gates: list[dict[str, Any]]) -> str:
-    """The shared gate table printed under every target's own table."""
+    """The shared gate table printed under every artifact's leaf listing."""
     lines = [f"{'gate':<30} {'value':>14}  {'op':<2} {'bound':<12} result"]
     for g in gates:
         result = ("ok" if g["passed"] else "FAILED") + (" (timing)" if g["timing"] else "")
@@ -284,25 +313,7 @@ def run_pipeline_bench() -> dict[str, Any]:
     }
 
 
-def render_pipeline_bench(data: dict[str, Any]) -> str:
-    lines = [f"{'config':<24} {'legacy(s)':>10} {'columnar(s)':>12} {'speedup':>8}"]
-    for label, entry in data["front_end"].items():
-        lines.append(
-            f"{label:<24} {entry['legacy']['front_end_s']:>10.3f} "
-            f"{entry['columnar']['front_end_s']:>12.3f} "
-            f"{entry['front_end_speedup']:>7.1f}x"
-        )
-    summary = data["summary"]
-    m = data["mapping"]
-    lines += [
-        f"min speedup {summary['min_front_end_speedup']}x",
-        f"mapping {m['config']}: greedy {m['greedy_speedup']}x, "
-        f"refine {m['refine_speedup']}x vs reference",
-    ]
-    return "\n".join(lines)
-
-
-def run_routing_bench(ranks: int = 1728, pairs: int = 100_000, seed: int = 0) -> dict[str, Any]:
+def run_routing_bench(pairs: int = 100_000) -> dict[str, Any]:
     """Route-construction throughput of every policy at the 1728-rank scale.
 
     One batch of ``pairs`` random node pairs per topology, routed once per
@@ -314,8 +325,8 @@ def run_routing_bench(ranks: int = 1728, pairs: int = 100_000, seed: int = 0) ->
     from .routing import ROUTINGS, get_policy
     from .topology.configs import build_all
 
-    topologies = build_all(ranks)
-    rng = np.random.default_rng(seed)
+    topologies = build_all(ROUTING_RANKS)
+    rng = np.random.default_rng(ROUTING_SEED)
     per_topology: dict[str, Any] = {}
     slowdowns: dict[str, list[float]] = {name: [] for name in ROUTINGS}
     for kind, topology in topologies.items():
@@ -323,7 +334,8 @@ def run_routing_bench(ranks: int = 1728, pairs: int = 100_000, seed: int = 0) ->
         dst = rng.integers(0, topology.num_nodes, size=pairs)
         entry: dict[str, Any] = {}
         for name in ROUTINGS:
-            inc, dt = _timed(get_policy(name, seed=seed).route_incidence, topology, src, dst)
+            policy = get_policy(name, seed=ROUTING_SEED)
+            inc, dt = _timed(policy.route_incidence, topology, src, dst)
             entry[name] = {
                 "seconds": round(dt, 4),
                 "pairs_per_s": round(pairs / dt) if dt else None,
@@ -345,9 +357,9 @@ def run_routing_bench(ranks: int = 1728, pairs: int = 100_000, seed: int = 0) ->
     return {
         "routing": per_topology,
         "summary": {
-            "ranks": ranks,
+            "ranks": ROUTING_RANKS,
             "pairs": pairs,
-            "seed": seed,
+            "seed": ROUTING_SEED,
             "slowdown_vs_minimal": {
                 name: round(float(np.exp(np.mean(np.log(vals)))), 2)
                 for name, vals in slowdowns.items()
@@ -357,28 +369,6 @@ def run_routing_bench(ranks: int = 1728, pairs: int = 100_000, seed: int = 0) ->
             "cache_speedup": round(cold / max(warm, 1e-9), 1),
         },
     }
-
-
-def render_routing_bench(data: dict[str, Any]) -> str:
-    policies = list(data["summary"]["slowdown_vs_minimal"])
-    header = f"{'topology':<12}" + "".join(f"{p:>12}" for p in policies)
-    lines = [header + "   (pairs/s)"]
-    for kind, entry in data["routing"].items():
-        cells = "".join(
-            f"{entry[p]['pairs_per_s']:>12,}".replace(",", " ")
-            if entry[p]["pairs_per_s"]
-            else f"{'n/a':>12}"
-            for p in policies
-        )
-        lines.append(f"{kind:<12}{cells}")
-    summary = data["summary"]
-    slow = ", ".join(
-        f"{name} {value}x"
-        for name, value in summary["slowdown_vs_minimal"].items()
-        if name != "minimal"
-    )
-    lines.append(f"geomean slowdown vs minimal: {slow}")
-    return "\n".join(lines)
 
 
 def _dragonfly_setup():
@@ -406,7 +396,7 @@ def _dragonfly_setup():
     )
 
 
-def run_telemetry_bench(windows: int = 48, repeats: int = 6) -> dict[str, Any]:
+def run_telemetry_bench() -> dict[str, Any]:
     """Telemetry overhead on the 500k-packet dragonfly simulation, plus the
     adversarial minimal-vs-adaptive congestion comparison.
 
@@ -414,7 +404,7 @@ def run_telemetry_bench(windows: int = 48, repeats: int = 6) -> dict[str, Any]:
     prepared setup — no collector, :class:`~repro.telemetry.NullCollector`,
     and a full :class:`~repro.telemetry.WindowedCollector` — and reports
     each collector's median per-round ratio against the bare run over
-    ``repeats`` rotated-order rounds (see the in-function comment for
+    :data:`TELEMETRY_REPEATS` rotated-order rounds (see the in-function comment for
     why that estimator).  The congestion section
     replays the hot-group traffic pattern per routing policy and records
     each policy's congestion-region summary.
@@ -430,7 +420,7 @@ def run_telemetry_bench(windows: int = 48, repeats: int = 6) -> dict[str, Any]:
     from .topology.dragonfly import Dragonfly
 
     setup = _dragonfly_setup()
-    config = TelemetryConfig(windows=windows)
+    config = TelemetryConfig(windows=TELEMETRY_WINDOWS)
 
     # The asserted quantities are *ratios* against the bare kernel, and
     # machine-load noise (multi-second spikes, turbo decay) dwarfs the
@@ -443,7 +433,7 @@ def run_telemetry_bench(windows: int = 48, repeats: int = 6) -> dict[str, Any]:
     # round boundary spoils at most the rounds it touches).
     makers = [lambda: None, NullCollector, lambda: WindowedCollector(config)]
     samples = [[], [], []]
-    for r in range(repeats):
+    for r in range(TELEMETRY_REPEATS):
         for i in range(len(makers)):
             i = (i + r) % len(makers)
             samples[i].append(_timed(lambda: run_batched(setup, makers[i]()))[1])
@@ -467,7 +457,7 @@ def run_telemetry_bench(windows: int = 48, repeats: int = 6) -> dict[str, Any]:
             "topology": "Dragonfly(8,4,4)",
             "packets": setup.total_packets,
             "packet_hops": setup.total_hops,
-            "windows": windows,
+            "windows": TELEMETRY_WINDOWS,
             "bare_s": round(bare_s, 4),
             "null_s": round(null_s, 4),
             "windowed_s": round(windowed_s, 4),
@@ -480,33 +470,8 @@ def run_telemetry_bench(windows: int = 48, repeats: int = 6) -> dict[str, Any]:
     }
 
 
-def render_telemetry_bench(data: dict[str, Any]) -> str:
-    o = data["overhead"]
-    lines = [
-        f"telemetry overhead on {o['topology']} "
-        f"({o['packets']} packets, {o['windows']} windows)",
-        f"  bare kernel:        {o['bare_s']:.3f}s",
-        f"  null collector:     {o['null_s']:.3f}s ({o['null_overhead']:.3f}x)",
-        f"  windowed collector: {o['windowed_s']:.3f}s "
-        f"({o['windowed_overhead']:.3f}x)",
-        "",
-        "adversarial hot-group congestion (Dragonfly(4,2,2)):",
-        f"{'routing':<10} {'peak occ':>9} {'regions':>8} "
-        f"{'peak links':>11} {'longest(s)':>11} {'hot win':>8}",
-    ]
-    for rec in data["congestion"]:
-        lines.append(
-            f"{rec['routing']:<10} {rec['peak_window_occupancy']:>9.3f} "
-            f"{rec['num_regions']:>8} {rec['peak_region_links']:>11} "
-            f"{rec['longest_region_s']:>11.2e} {rec['hot_windows']:>8}"
-        )
-    return "\n".join(lines)
-
-
 def run_scale_pipeline(
-    app: str = SCALE_APP,
-    ranks: int = SCALE_RANKS,
-    chunk_bytes: int | None = None,
+    ranks: int = SCALE_RANKS, chunk_bytes: int | None = None
 ) -> dict[str, Any]:
     """Streaming trace -> matrix -> locality pipeline in the current process.
 
@@ -529,7 +494,7 @@ def run_scale_pipeline(
     counts = {"rows": 0, "chunks": 0}
 
     t0 = time.perf_counter()
-    stream = stream_trace(app, ranks, chunk_bytes=chunk_bytes)
+    stream = stream_trace(SCALE_APP, ranks, chunk_bytes=chunk_bytes)
 
     def counted():
         for block in stream:
@@ -555,7 +520,7 @@ def run_scale_pipeline(
 
     peak = timings.peak_rss_bytes()
     return {
-        "app": app,
+        "app": SCALE_APP,
         "ranks": ranks,
         "chunk_bytes": int(chunk_bytes),
         "rows": counts["rows"],
@@ -584,11 +549,7 @@ def run_scale_bench(
     paging.  The gated, machine-portable quantity is ``rss_ratio`` —
     measured peak RSS over :data:`SCALE_RSS_BUDGET_MB`.
     """
-    cfg = {
-        "app": SCALE_APP,
-        "ranks": ranks,
-        "chunk_bytes": int(SCALE_CHUNK_MB * 1024 * 1024),
-    }
+    cfg = {"ranks": ranks, "chunk_bytes": int(SCALE_CHUNK_MB * 1024 * 1024)}
     preamble = ""
     if rlimit_gb is not None:
         lim = int(rlimit_gb * (1 << 30))
@@ -625,27 +586,6 @@ def run_scale_bench(
             ),
         },
     }
-
-
-def render_scale_bench(data: dict[str, Any]) -> str:
-    s = data["scale"]
-    summary = data["summary"]
-    return "\n".join(
-        [
-            f"streaming scale pipeline: {s['app']}@{s['ranks']} (chunks of "
-            f"{summary['chunk_mb']:.1f} MB, RLIMIT_AS GB {summary['rlimit_gb']})",
-            f"  rows streamed: {s['rows']:,} in {s['chunks']} chunks "
-            f"({summary['rows_per_s']:,} rows/s)".replace(",", " "),
-            f"  matrix pairs:  {s['pairs']:,}".replace(",", " "),
-            f"  front end:     {s['front_end_s']:.3f}s   "
-            f"locality: {s['locality_s']:.3f}s",
-            f"  rank distance (90%): {s['rank_distance_90']}   "
-            f"locality: {s['rank_locality']}   "
-            f"avg peers: {s['avg_peers']:.2f}",
-            f"  peak RSS:      {summary['peak_rss_mb']} MB of "
-            f"{summary['budget_mb']:.0f} MB budget",
-        ]
-    )
 
 
 def _cold_serial_sweep(spec, cache_dir: Path) -> dict[str, Any]:
@@ -831,25 +771,6 @@ def run_sweep_bench() -> dict[str, Any]:
     }
 
 
-def render_sweep_bench(data: dict[str, Any]) -> str:
-    s = data["summary"]
-    lines = [
-        f"sharded sweep service on the {s['cells']}-cell reference grid "
-        f"({s['workers']} workers)",
-        f"  cold serial (subprocess):  {s['cold_serial_s']:>8.2f}s",
-    ]
-    for name, label in (("affinity", "warm affinity"), ("random", "warm random")):
-        mode = data["modes"][name]
-        lines.append(
-            f"  {label + ':':<26} {mode['seconds']:>8.2f}s   "
-            f"hit rate {mode['hit_rate']:.4f}   "
-            f"(hits {mode['cache']['hits']}, misses {mode['cache']['misses']}, "
-            f"disk {mode['cache']['disk_hits']}, "
-            f"prime {mode['prime_seconds']:.2f}s)"
-        )
-    return "\n".join(lines)
-
-
 def run_tenancy_bench() -> dict[str, Any]:
     """Multi-tenant measurements: interference-aware routing, solo identity.
 
@@ -961,19 +882,6 @@ def run_tenancy_bench() -> dict[str, Any]:
     }
 
 
-def render_tenancy_bench(data: dict[str, Any]) -> str:
-    s = data["summary"]
-    sc = data["scenario"]
-    lines = [
-        f"multi-tenant gates: {sc['victim']} vs {sc['aggressor']}",
-        f"  topology {sc['topology']} ({sc['allocation']} allocation, "
-        f"{sc['packets']} scaled packets)",
-        f"  victim peak link load:  minimal {s['victim_peak_load_minimal']:.0f}"
-        f"   interference_aware {s['victim_peak_load_aware']:.0f}",
-    ]
-    return "\n".join(lines)
-
-
 def _solo_identical(data: dict[str, Any]) -> bool:
     identity = data["identity"]
     return identity["trace_identical"] and all(
@@ -1051,20 +959,6 @@ def run_critpath_bench() -> dict[str, Any]:
             "sensitivity_max_rel_err": max(r.fd_rel_err for r in rows),
         },
     }
-
-
-def render_critpath_bench(data: dict[str, Any]) -> str:
-    m = data["matcher"]
-    s = data["summary"]
-    lines = [
-        f"critical-path gates: FIFO matcher on {m['workload']} "
-        f"({m['events']} events, {m['pairs']} matched pairs)",
-        f"  vectorized {m['vectorized_seconds']:.3f}s   "
-        f"oracle {m['oracle_seconds']:.3f}s",
-        f"  dT/dL cross-check over {len(data['sensitivity']['apps'])} apps "
-        f"({data['sensitivity']['table_seconds']:.1f}s)",
-    ]
-    return "\n".join(lines)
 
 
 def run_collectives_bench() -> dict[str, Any]:
@@ -1160,23 +1054,6 @@ def run_collectives_bench() -> dict[str, Any]:
     }
 
 
-def render_collectives_bench(data: dict[str, Any]) -> str:
-    s = data["summary"]
-    d = data["delta"]
-    flat = d["engines"]["flat"]
-    binom = d["engines"]["binomial"]
-    lines = [
-        f"collective-engine gates: flat identity over "
-        f"{s['apps_checked']} apps "
-        f"({data['identity']['identity_seconds']:.1f}s)",
-        f"  delta on {d['workload']} ({d['topology']}): "
-        f"collective bytes {flat['collective_bytes']} -> "
-        f"{binom['collective_bytes']}",
-        f"  avg hops {flat['avg_hops']:.3f} -> {binom['avg_hops']:.3f}",
-    ]
-    return "\n".join(lines)
-
-
 def _flat_identical(data: dict[str, Any]) -> bool:
     return all(
         a["default_identical"] and a["per_event_identical"]
@@ -1238,23 +1115,6 @@ def run_sim_bench() -> dict[str, Any]:
     }
 
 
-def render_sim_bench(data: dict[str, Any]) -> str:
-    s = data["simulator"]
-    t = data["table3_cache"]
-    return "\n".join(
-        [
-            f"simulator on {s['topology']} ({s['packets']} packets, "
-            f"{s['congested_packet_share']:.1%} congested)",
-            f"  reference {s['reference_s']:.2f}s   batched "
-            f"{s['batched_s']:.2f}s   speedup {s['speedup']}x   "
-            f"identical {s['engines_identical']}",
-            f"Table 3 ({t['rows']} rows) through the cache: cold "
-            f"{t['cold_s']:.2f}s   warm {t['warm_s']:.2f}s   "
-            f"speedup {t['speedup']}x",
-        ]
-    )
-
-
 def _at(*keys: str) -> Callable[[dict[str, Any]], Any]:
     """Gate value reader for ``data[keys[0]][keys[1]]...``."""
 
@@ -1284,17 +1144,17 @@ def _affinity_minus_random(data: dict[str, Any]) -> float | None:
     return round(s["affinity_hit_rate"] - s["random_hit_rate"], 4)
 
 
-#: Every ``repro bench`` target: its measurement, its table and its gates.
+#: Every ``repro bench`` target: its measurement and its gates.
 #: ``tests/test_bench.py`` pins every gate's op, bound and timing flag.
 BENCHES: dict[str, Bench] = {
-    "collectives": Bench(run_collectives_bench, render_collectives_bench, (
+    "collectives": Bench(run_collectives_bench, (
         Gate("flat_identity", _flat_identical, "==", True),
         Gate("every_app_covered", lambda d: _covers_registry(
             a["workload"].split("@")[0] for a in d["identity"]["apps"]), "==", True),
         Gate("bytes_ratio", _at("summary", "bytes_ratio"), ">=", 1.5),
         Gate("hops_delta_rel", _at("summary", "hops_delta_rel"), ">=", 0.10),
     )),
-    "critpath": Bench(run_critpath_bench, render_critpath_bench, (
+    "critpath": Bench(run_critpath_bench, (
         Gate("events", _at("matcher", "events"), ">=", 5_000_000),
         Gate("pairs", _at("matcher", "pairs"), ">=", 2_500_000),
         Gate("edges_identical", _at("summary", "edges_identical"), "==", True),
@@ -1303,45 +1163,45 @@ BENCHES: dict[str, Bench] = {
         Gate("every_app_covered", lambda d: _covers_registry(
             a["app"] for a in d["sensitivity"]["apps"]), "==", True),
     )),
-    "pipeline": Bench(run_pipeline_bench, render_pipeline_bench, (
+    "pipeline": Bench(run_pipeline_bench, (
         Gate("configs", _at("summary", "configs"), ">=", 10),
         Gate("front_end_geomean_speedup", _at("summary", "geomean_front_end_speedup"),
              ">=", 5.0, True),
         Gate("greedy_speedup", _at("mapping", "greedy_speedup"), ">=", 3.0, True),
         Gate("refine_speedup", _at("mapping", "refine_speedup"), ">=", 3.0, True),
     )),
-    "routing": Bench(run_routing_bench, render_routing_bench, (
+    "routing": Bench(run_routing_bench, (
         Gate("max_slowdown_vs_minimal",
              lambda d: max(d["summary"]["slowdown_vs_minimal"].values()), "<=", 200.0, True),
         Gate("cache_speedup", _at("summary", "cache_speedup"), ">=", 5.0, True),
     ), options=("pairs",)),
-    "scale": Bench(run_scale_bench, render_scale_bench, (
+    "scale": Bench(run_scale_bench, (
         Gate("ranks", _at("scale", "ranks"), "==", SCALE_RANKS),
         Gate("rows", _at("scale", "rows"), ">", SCALE_RANKS),
         Gate("pairs", _at("scale", "pairs"), ">", SCALE_RANKS),
         Gate("rss_ratio", _at("summary", "rss_ratio"), "<=", 1.0),
     ), options=("rlimit_gb",)),
-    "sim": Bench(run_sim_bench, render_sim_bench, (
+    "sim": Bench(run_sim_bench, (
         Gate("packets", _at("simulator", "packets"), ">=", 500_000),
         Gate("engines_identical", _at("simulator", "engines_identical"), "==", True),
         Gate("batched_speedup", _at("simulator", "speedup"), ">=", 10.0, True),
         Gate("table3_labels_identical", _at("table3_cache", "labels_identical"), "==", True),
         Gate("table3_warm_speedup", _at("table3_cache", "speedup"), ">=", 3.0, True),
     )),
-    "sweep": Bench(run_sweep_bench, render_sweep_bench, (
+    "sweep": Bench(run_sweep_bench, (
         Gate("cells", _at("summary", "cells"), "==", 216),
         Gate("apps", _at("summary", "apps"), "==", 6),
         Gate("records_identical", _at("summary", "records_identical"), "==", True),
         Gate("warm_speedup", _at("summary", "warm_speedup"), ">=", 5.0, True),
         Gate("affinity_minus_random_hit_rate", _affinity_minus_random, ">", 0.0, True),
     )),
-    "telemetry": Bench(run_telemetry_bench, render_telemetry_bench, (
+    "telemetry": Bench(run_telemetry_bench, (
         Gate("packets", _at("overhead", "packets"), ">=", 500_000),
         Gate("null_overhead", _at("overhead", "null_overhead"), "<=", 1.05, True),
         Gate("windowed_overhead", _at("overhead", "windowed_overhead"), "<=", 1.20, True),
         Gate("ugal_minus_minimal_longest_s", _ugal_minus_minimal, "<", 0.0),
     )),
-    "tenancy": Bench(run_tenancy_bench, render_tenancy_bench, (
+    "tenancy": Bench(run_tenancy_bench, (
         Gate("packets", _at("scenario", "packets"), ">=", 500_000),
         Gate("victim_load_reduction", _at("summary", "victim_load_reduction"), ">=", 2.0),
         Gate("solo_identity", _solo_identical, "==", True),

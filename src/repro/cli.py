@@ -951,6 +951,7 @@ def _run_command(args) -> int:
                 topology=args.topology if args.topology != "none" else "torus3d",
                 routing=args.routing,
                 max_ranks=args.max_ranks,
+                params=params,
                 max_repeat=max_repeat,
                 fd_check=not args.no_fd,
                 collective=args.collective_algo,
@@ -1148,7 +1149,7 @@ def _run_command(args) -> int:
         data = bench.run_bench(
             args.target, **{name: getattr(args, name) for name in target.options}
         )
-        print(target.render(data))
+        print(bench.render_bench(data))
         print(bench.render_gates(data["gates"]))
         path = bench.write_bench(args.out or f"BENCH_{args.target}.json", data)
         print(f"wrote {path}")

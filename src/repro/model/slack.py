@@ -23,11 +23,11 @@ import numpy as np
 
 from ..comm.matrix import CommMatrix
 from ..mapping.base import Mapping
-from ..routing import get_policy
 from ..routing.base import RoutingPolicy
 from ..topology.base import Topology
 from ..topology.dragonfly import Dragonfly
 from .engine import BANDWIDTH_BYTES_PER_S
+from .linkload import link_loads
 
 __all__ = ["SlackReport", "bandwidth_slack"]
 
@@ -113,18 +113,7 @@ def bandwidth_slack(
         raise ValueError("execution_time must be positive")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    if mapping is None:
-        mapping = Mapping.consecutive(matrix.num_ranks, topology.num_nodes)
-
-    src_n = mapping.node_of(matrix.src)
-    dst_n = mapping.node_of(matrix.dst)
-    crossing = src_n != dst_n
-    nbytes = matrix.nbytes[crossing]
-    policy = get_policy(routing, seed=routing_seed)
-    incidence = policy.route_incidence(
-        topology, src_n[crossing], dst_n[crossing], pair_weights=nbytes
-    )
-    ids, loads = incidence.link_loads(nbytes)
+    ids, loads = link_loads(matrix, topology, mapping, routing, routing_seed)
     if len(ids) == 0:
         empty = np.zeros(0)
         return SlackReport(

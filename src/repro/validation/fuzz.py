@@ -199,13 +199,14 @@ def run_case(
     legacy = app.generate(
         case.ranks, variant=case.variant, seed=case.trace_seed, columnar=False
     )
+    # Before traces_identical: its blocks() call makes the legacy trace
+    # block-native, and the matrix would then skip the per-event path.
+    legacy_matrix = matrix_from_trace(legacy)
     if not traces_identical(trace, legacy):
         outcome.discrepancies.append(
             "columnar and per-event trace generation differ"
         )
-    if not matrices_identical(
-        matrix_from_trace(trace), matrix_from_trace(legacy)
-    ):
+    if not matrices_identical(matrix_from_trace(trace), legacy_matrix):
         outcome.discrepancies.append(
             "matrices built from columnar vs per-event traces differ"
         )

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import bench
-from repro.bench import BENCHES, Bench, Gate, evaluate_gates
+from repro.bench import BENCHES, Bench, Gate, evaluate_gates, render_bench
 from repro.cli import main
 
 #: (target, gate, op, bound, timing) — loosening a bound must edit this table.
@@ -95,7 +96,6 @@ def test_missing_value_fails(op):
 def test_exit_code_follows_non_timing_gates(monkeypatch, tmp_path, capsys, timing, code):
     fake = Bench(
         run=lambda: {"x": 1},
-        render=lambda data: "fake table",
         gates=(
             Gate("holds", lambda d: d["x"], "==", 1),
             Gate("broken", lambda d: d["x"], ">", 1, timing),
@@ -105,7 +105,7 @@ def test_exit_code_follows_non_timing_gates(monkeypatch, tmp_path, capsys, timin
     out_path = tmp_path / "BENCH_fake.json"
     assert main(["bench", "fake", "--out", str(out_path)]) == code
     out = capsys.readouterr().out
-    assert "fake table" in out
+    assert "x 1" in out.splitlines()
     broken = next(line for line in out.splitlines() if line.startswith("broken"))
     assert "FAILED" in broken
     assert ("(timing)" in broken) is timing
@@ -124,8 +124,29 @@ def test_options_reach_the_run_function(monkeypatch, tmp_path):
         return {}
 
     monkeypatch.setitem(
-        bench.BENCHES, "fake", Bench(run, lambda d: "", (), options=("rlimit_gb",))
+        bench.BENCHES, "fake", Bench(run, (), options=("rlimit_gb",))
     )
     out = str(tmp_path / "BENCH_fake.json")
     assert main(["bench", "fake", "--rlimit-gb", "4", "--out", out]) == 0
     assert seen == {"rlimit_gb": 4.0}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        return [leaf for k, v in node.items() for leaf in _leaves(v, path + (str(k),))]
+    if isinstance(node, list):
+        return [leaf for i, v in enumerate(node) for leaf in _leaves(v, path + (str(i),))]
+    return [(".".join(path), node)]
+
+
+@pytest.mark.parametrize("target", list(BENCHES))
+def test_render_lists_every_scalar_leaf(target):
+    """The committed artifact prints one ``path value`` line per scalar
+    leaf, in artifact order, and nothing for its ``gates`` list."""
+    root = Path(__file__).resolve().parent.parent
+    data = json.loads((root / f"BENCH_{target}.json").read_text())
+    assert data["gates"]
+    leaves = _leaves({k: v for k, v in data.items() if k != "gates"})
+    lines = render_bench(data).splitlines()
+    assert lines == [f"{path} {value}" for path, value in leaves]
+    assert not any(line.startswith("gates") for line in lines)

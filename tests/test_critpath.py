@@ -395,3 +395,19 @@ class TestIntegration:
         assert capsys.readouterr().out != exact
         rows = latency_table(max_ranks=27, max_repeat=None, fd_check=False)
         assert exact == render_latency_table(rows) + "\n"
+
+    def test_cli_table_honours_loggp_overrides(self, capsys):
+        from dataclasses import replace
+
+        from repro.cli import main
+
+        args = ["critpath", "--table", "--max-ranks", "8", "--no-fd"]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + ["--latency-s", "1e-3"]) == 0
+        slow = capsys.readouterr().out
+        assert slow != default
+        rows = latency_table(
+            max_ranks=8, params=replace(DEFAULT_PARAMS, latency_s=1e-3), fd_check=False
+        )
+        assert slow == render_latency_table(rows) + "\n"

@@ -275,6 +275,29 @@ class TestFuzz:
         assert report.ok, report.render()
         assert "2 case(s), 0 failure(s)" in report.render()
 
+    def test_per_event_matrix_path_runs(self, monkeypatch):
+        """The per-event trace's matrix is built before anything converts
+        that trace to blocks, so the per-event builder is really diffed."""
+        from repro.core.trace import Trace
+        from repro.validation import fuzz as fuzz_mod
+
+        native = []
+        real = fuzz_mod.matrix_from_trace
+
+        def recording(source, *args, **kwargs):
+            if isinstance(source, Trace):
+                native.append(source.has_native_blocks)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(fuzz_mod, "matrix_from_trace", recording)
+        case = FuzzCase(
+            seed=0, app="LULESH", ranks=64, variant="", topology="torus3d",
+            routing="minimal", mapping="consecutive",
+            trace_seed=0, routing_seed=0, sim_seed=0,
+        )
+        assert fuzz_mod.run_case(case, target_packets=2_000).ok
+        assert False in native
+
     def test_shrinker_finds_minimal_failing_case(self, monkeypatch):
         """With a planted bug in (dragonfly, valiant), the shrinker keeps
         those two dimensions and minimizes everything else."""
