@@ -264,18 +264,30 @@ def trace_content_key(trace: Any) -> tuple:
 
     Traces produced by :func:`cached_trace` carry their generation key as
     provenance (``_repro_cache_key``), making this free.  Foreign traces
-    (e.g. converted dumpi recordings) fall back to a digest of the pickled
-    event stream — exact but O(events).
+    (e.g. parsed dumpi recordings) fall back to a digest of everything a
+    matrix reads: the block columns and name tables, the size of every
+    named datatype, every communicator's members, and the metadata —
+    exact but O(rows), and no event object is materialized.
     """
+    from .core.blocks import EventBlock
+
     key = getattr(trace, "_repro_cache_key", None)
     if key is not None:
         return key
     meta = trace.meta
-    digest = hashlib.blake2b(
-        pickle.dumps(trace.events, protocol=pickle.HIGHEST_PROTOCOL),
-        digest_size=16,
-    ).hexdigest()
-    return ("trace-content", meta.app, meta.num_ranks, meta.variant, digest)
+    h = hashlib.blake2b(repr(meta).encode(), digest_size=16)
+    for block in trace.blocks():
+        names = (block.dtype_names, block.comm_names, block.func_names)
+        sizes = [trace.datatypes.size_of(name) for name in block.dtype_names]
+        h.update(repr((names, sizes)).encode())
+        h.update(
+            array_digest(
+                *(getattr(block, name) for name in EventBlock._COLUMN_DTYPES)
+            ).encode()
+        )
+    comms = trace.communicators
+    h.update(repr([comms.get(name) for name in comms.names()]).encode())
+    return ("trace-content", meta.app, meta.num_ranks, meta.variant, h.hexdigest())
 
 
 def matrix_content_key(matrix: Any) -> tuple:

@@ -29,11 +29,15 @@ String-valued fields (datatype, communicator, MPI function name) are
 interned per block: the integer columns ``dtype_id`` / ``comm_id`` /
 ``func_id`` index the block's ``dtype_names`` / ``comm_names`` /
 ``func_names`` tables.
+
+Every block built from records — parsed text lines or event objects —
+goes through one :class:`BlockBuilder`, which appends rows and interns
+the names as it goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +55,9 @@ __all__ = [
     "KIND_COLLECTIVE",
     "OPS",
     "OP_CODE",
+    "RowError",
     "EventBlock",
+    "BlockBuilder",
 ]
 
 #: ``kind`` column values.
@@ -91,6 +97,14 @@ class _Interner:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._ids)
+
+
+class RowError(ValueError):
+    """A block invariant violated; ``row`` is the first offending row."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass
@@ -173,99 +187,86 @@ class EventBlock:
     def check(self, num_ranks: int, known_comms) -> None:
         """Vectorized equivalent of per-event ``Trace.add`` validation.
 
-        Raises ``ValueError`` on the first violated invariant, mirroring the
-        checks in :class:`~repro.core.events` ``__post_init__`` methods and
-        ``Trace._validate``.
+        Raises :class:`RowError` for the first row that violates an
+        invariant of :class:`~repro.core.events` ``__post_init__`` or
+        ``Trace._validate``, so a parser can map the row to its line.
         """
         if len(self) == 0:
             return
-        if self.caller.min() < 0:
-            raise ValueError("ranks must be non-negative")
-        if self.caller.max() >= num_ranks:
-            raise ValueError(
-                f"event caller {int(self.caller.max())} out of range for "
-                f"{num_ranks}-rank trace"
-            )
         p2p = self.kind != KIND_COLLECTIVE
-        if p2p.any():
-            peers = self.peer[p2p]
-            if peers.min() < 0:
-                raise ValueError("ranks must be non-negative")
-            if peers.max() >= num_ranks:
-                raise ValueError(
-                    f"event peer {int(peers.max())} out of range for "
-                    f"{num_ranks}-rank trace"
-                )
-        if self.count.min() < 0:
-            raise ValueError("count must be non-negative")
-        if self.repeat.min() < 1:
-            raise ValueError("repeat must be >= 1")
-        if self.root.min() < 0:
-            raise ValueError("root rank must be non-negative")
         coll = ~p2p
-        if coll.any():
-            codes = self.op[coll]
-            if codes.min() < 0 or codes.max() >= len(OPS):
-                raise ValueError("collective rows carry an unknown op code")
-            barrier = codes == OP_CODE[CollectiveOp.BARRIER]
-            if barrier.any() and self.count[coll][barrier].max() != 0:
-                raise ValueError("MPI_Barrier carries no payload")
-        for name in self.comm_names:
-            if name not in known_comms:
-                raise ValueError(
-                    f"event references unknown communicator {name!r}"
-                )
+        known = np.array([n in known_comms for n in self.comm_names], dtype=bool)
+        rules = (
+            (self.caller < 0, "ranks must be non-negative"),
+            (
+                self.caller >= num_ranks,
+                "event caller {caller} out of range for {n}-rank trace",
+            ),
+            (p2p & (self.peer < 0), "ranks must be non-negative"),
+            (
+                p2p & (self.peer >= num_ranks),
+                "event peer {peer} out of range for {n}-rank trace",
+            ),
+            (self.count < 0, "count must be non-negative"),
+            (self.repeat < 1, "repeat must be >= 1"),
+            (self.root < 0, "root rank must be non-negative"),
+            (
+                coll & ((self.op < 0) | (self.op >= len(OPS))),
+                "collective rows carry an unknown op code",
+            ),
+            (
+                coll
+                & (self.op == OP_CODE[CollectiveOp.BARRIER])
+                & (self.count != 0),
+                "MPI_Barrier carries no payload",
+            ),
+            (~known[self.comm_id], "event references unknown communicator {comm!r}"),
+        )
+        first = None
+        for bad, message in rules:
+            if bad.any():
+                row = int(bad.argmax())
+                if first is None or row < first[0]:
+                    first = (row, message)
+        if first is not None:
+            row, message = first
+            raise RowError(
+                row,
+                message.format(
+                    caller=int(self.caller[row]),
+                    peer=int(self.peer[row]),
+                    comm=self.comm_names[self.comm_id[row]],
+                    n=num_ranks,
+                ),
+            )
+
+    def take(self, index) -> "EventBlock":
+        """Rows ``index`` selects (a slice gives views, an array copies)."""
+        return replace(
+            self,
+            **{name: getattr(self, name)[index] for name in self._COLUMN_DTYPES},
+        )
 
     # -- conversion ---------------------------------------------------------
 
     @staticmethod
     def from_events(events) -> "EventBlock":
         """Build a block from a sequence of event objects (lossless)."""
-        k = len(events)
-        kind = np.empty(k, dtype=np.uint8)
-        caller = np.empty(k, dtype=np.int64)
-        peer = np.full(k, -1, dtype=np.int64)
-        count = np.empty(k, dtype=np.int64)
-        dtype_id = np.empty(k, dtype=np.int32)
-        op = np.full(k, -1, dtype=np.int16)
-        root = np.zeros(k, dtype=np.int64)
-        comm_id = np.empty(k, dtype=np.int32)
-        tag = np.zeros(k, dtype=np.int64)
-        func_id = np.full(k, -1, dtype=np.int16)
-        repeat = np.empty(k, dtype=np.int64)
-        t_enter = np.empty(k, dtype=np.float64)
-        t_leave = np.empty(k, dtype=np.float64)
-        dtypes = _Interner()
-        comms = _Interner()
-        funcs = _Interner()
-
-        for i, ev in enumerate(events):
-            caller[i] = ev.caller
-            count[i] = ev.count
-            dtype_id[i] = dtypes(ev.dtype)
-            comm_id[i] = comms(ev.comm)
-            repeat[i] = ev.repeat
-            t_enter[i] = ev.t_enter
-            t_leave[i] = ev.t_leave
+        builder = BlockBuilder()
+        for ev in events:
             if isinstance(ev, P2PEvent):
-                kind[i] = _KIND_OF_DIRECTION[ev.direction]
-                peer[i] = ev.peer
-                tag[i] = ev.tag
-                func_id[i] = funcs(ev.func)
+                builder.add_p2p(
+                    ev.direction, ev.caller, ev.peer, ev.count, ev.dtype,
+                    ev.func, ev.tag, ev.comm, ev.t_enter, ev.t_leave, ev.repeat,
+                )
             elif isinstance(ev, CollectiveEvent):
-                kind[i] = KIND_COLLECTIVE
-                op[i] = OP_CODE[ev.op]
-                root[i] = ev.root
+                builder.add_collective(
+                    ev.op, ev.caller, ev.count, ev.dtype, ev.root, ev.comm,
+                    ev.t_enter, ev.t_leave, ev.repeat,
+                )
             else:
                 raise TypeError(f"cannot blockify event of type {type(ev)}")
-
-        return EventBlock(
-            kind, caller, peer, count, dtype_id, op, root, comm_id, tag,
-            func_id, repeat, t_enter, t_leave,
-            dtype_names=dtypes.names() or ("MPI_BYTE",),
-            comm_names=comms.names() or ("MPI_COMM_WORLD",),
-            func_names=funcs.names(),
-        )
+        return builder.to_block()
 
     def to_events(self) -> list[TraceEvent]:
         """Materialize the legacy event objects, row order preserved."""
@@ -324,13 +325,65 @@ class EventBlock:
                 )
         return events
 
-    # -- convenience constructors ------------------------------------------
 
-    @staticmethod
-    def empty() -> "EventBlock":
-        z = np.zeros(0, dtype=np.int64)
+class BlockBuilder:
+    """Row-by-row accumulator for one :class:`EventBlock`.
+
+    The one way records become columns: the repro-dumpi and dumpi2ascii
+    parsers append each decoded line, :meth:`EventBlock.from_events` each
+    event object.  Names are interned in first-seen order, so the name
+    tables match across every producer.
+    """
+
+    __slots__ = ("_rows", "_dtypes", "_comms", "_funcs")
+
+    def __init__(self) -> None:
+        self._rows: list[tuple] = []
+        self._dtypes = _Interner()
+        self._comms = _Interner()
+        self._funcs = _Interner()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add_p2p(
+        self, direction: Direction, caller: int, peer: int, count: int,
+        dtype: str, func: str, tag: int = 0, comm: str = "MPI_COMM_WORLD",
+        t_enter: float = 0.0, t_leave: float = 0.0, repeat: int = 1,
+    ) -> None:
+        self._rows.append((
+            _KIND_OF_DIRECTION[direction], caller, peer, count,
+            self._dtypes(dtype), -1, 0, self._comms(comm), tag,
+            self._funcs(func), repeat, t_enter, t_leave,
+        ))
+
+    def add_collective(
+        self, op: CollectiveOp, caller: int, count: int = 0,
+        dtype: str = "MPI_BYTE", root: int = 0, comm: str = "MPI_COMM_WORLD",
+        t_enter: float = 0.0, t_leave: float = 0.0, repeat: int = 1,
+    ) -> None:
+        self._rows.append((
+            KIND_COLLECTIVE, caller, -1, count, self._dtypes(dtype),
+            OP_CODE[op], root, self._comms(comm), 0, -1, repeat, t_enter,
+            t_leave,
+        ))
+
+    def to_block(self) -> EventBlock:
+        """The appended rows as one block, in append order."""
+        dtypes = EventBlock._COLUMN_DTYPES.values()
+        try:
+            columns = [
+                np.array(col, dtype=dt) for col, dt in zip(zip(*self._rows), dtypes)
+            ] or [np.zeros(0, dtype=dt) for dt in dtypes]
+        except OverflowError:
+            row = next(
+                i for i, values in enumerate(self._rows)
+                if any(isinstance(v, int) and not -(2**63) <= v < 2**63 for v in values)
+            )
+            raise RowError(row, "integer field outside the 64-bit range") from None
         return EventBlock(
-            z, z, z, z, z, z, z, z, z, z, z,
-            np.zeros(0), np.zeros(0),
-            func_names=(),
+            *columns,
+            dtype_names=self._dtypes.names() or ("MPI_BYTE",),
+            comm_names=self._comms.names() or ("MPI_COMM_WORLD",),
+            func_names=self._funcs.names(),
         )

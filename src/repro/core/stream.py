@@ -83,15 +83,7 @@ def rows_per_chunk(chunk_bytes: int) -> int:
 
 def slice_block(block: EventBlock, start: int, stop: int) -> EventBlock:
     """Rows ``[start, stop)`` of a block as a new block (columns are views)."""
-    return EventBlock(
-        **{
-            name: getattr(block, name)[start:stop]
-            for name in EventBlock._COLUMN_DTYPES
-        },
-        dtype_names=block.dtype_names,
-        comm_names=block.comm_names,
-        func_names=block.func_names,
-    )
+    return block.take(slice(start, stop))
 
 
 def rechunk_blocks(

@@ -3,7 +3,6 @@
 from .ascii_dumpi import (
     UnsupportedCommunicatorError,
     load_dumpi2ascii_dir,
-    load_rank_file,
     parse_rank_stream,
     stream_dumpi2ascii_dir,
 )
@@ -15,7 +14,6 @@ from .writer import dump_trace, dumps_trace, write_trace
 __all__ = [
     "UnsupportedCommunicatorError",
     "load_dumpi2ascii_dir",
-    "load_rank_file",
     "parse_rank_stream",
     "stream_dumpi2ascii_dir",
     "FORMAT_VERSION",

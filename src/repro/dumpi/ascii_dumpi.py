@@ -13,9 +13,8 @@ them as one text file per rank, with records of the form::
 
 This module parses that layout into :class:`~repro.core.trace.Trace`
 objects so the full analysis pipeline runs unchanged on real traces when
-they are available.  The parser decodes each rank file into columnar
-accumulators and the directory loader assembles them directly into
-:class:`~repro.core.blocks.EventBlock` arrays — no per-record Python event
+they are available.  Every rank file is decoded into one shared
+:class:`~repro.core.blocks.BlockBuilder` — no per-record Python event
 objects are created on the loading path (the legacy ``events`` view stays
 available lazily).
 
@@ -30,31 +29,31 @@ Cartesian/sub-communicator calls cannot be reconstructed from dumpi output
 (the paper excludes such traces, §4.3); records referencing a communicator
 other than ``MPI_COMM_WORLD``/``MPI_COMM_SELF`` raise
 :class:`UnsupportedCommunicatorError` unless ``strict=False``.
+
+What the tolerance does not cover raises
+:class:`~repro.dumpi.format.ParseError` naming the rank file and the
+record's line: a record that never returns (a truncated file), an
+unreadable walltime, a point-to-point call without its peer or count, and
+a peer outside the traced ranks.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
 
-from ..core.blocks import (
-    KIND_COLLECTIVE,
-    KIND_P2P_RECV,
-    KIND_P2P_SEND,
-    OP_CODE,
-    EventBlock,
-    _Interner,
-)
+from ..core.blocks import BlockBuilder, EventBlock, RowError
 from ..core.events import CollectiveOp, Direction, P2P_CALLS
 from ..core.trace import Trace, TraceMetadata
+from .format import ParseError
 
 __all__ = [
     "UnsupportedCommunicatorError",
     "parse_rank_stream",
-    "load_rank_file",
     "load_dumpi2ascii_dir",
     "stream_dumpi2ascii_dir",
     "RANK_FILE_PATTERN",
@@ -63,11 +62,10 @@ __all__ = [
 #: dumpi2ascii file naming: <prefix>-<rank>.txt (rank zero-padded).
 RANK_FILE_PATTERN = re.compile(r"-(\d+)\.txt$")
 
-_ENTER_RE = re.compile(
-    r"^(MPI_\w+) entering at walltime ([0-9.eE+-]+), cputime ([0-9.eE+-]+)"
-)
-_RETURN_RE = re.compile(
-    r"^(MPI_\w+) returning at walltime ([0-9.eE+-]+)"
+#: An ``entering``/``returning`` line; the walltime group is None when the
+#: line is cut short.
+_CALL_RE = re.compile(
+    r"^(MPI_\w+) (entering|returning)\b(?: at walltime ([^,\s]+),)?"
 )
 _FIELD_RE = re.compile(
     r"^\s*(?:\w[\w\s*]*\s)?(\w+)=(-?\d+)(?:\s+\(([\w-]+)\))?"
@@ -79,11 +77,6 @@ _COLLECTIVE_BY_NAME = {op.value: op for op in CollectiveOp}
 #: sub-communicator we cannot resolve.
 _WORLD_COMMS = {"MPI_COMM_WORLD", "MPI_COMM_SELF"}
 
-_KIND_OF_DIRECTION = {
-    Direction.SEND: KIND_P2P_SEND,
-    Direction.RECV: KIND_P2P_RECV,
-}
-
 
 class UnsupportedCommunicatorError(ValueError):
     """A record references a communicator whose rank mapping is unknown."""
@@ -92,107 +85,15 @@ class UnsupportedCommunicatorError(ValueError):
 class _Record:
     """One MPI call being assembled."""
 
-    __slots__ = ("func", "t_enter", "t_leave", "ints", "names")
+    __slots__ = ("func", "line", "t_enter", "t_leave", "ints", "names")
 
-    def __init__(self, func: str, t_enter: float) -> None:
+    def __init__(self, func: str, line: int, t_enter: float) -> None:
         self.func = func
+        self.line = line
         self.t_enter = t_enter
         self.t_leave = t_enter
         self.ints: dict[str, int] = {}
         self.names: dict[str, str] = {}
-
-
-class _Columns:
-    """Columnar accumulator for one rank's decoded records.
-
-    String fields are interned through shared tables so per-rank columns
-    concatenate into one :class:`EventBlock` without re-mapping.
-    """
-
-    __slots__ = (
-        "kind", "peer", "count", "dtype_id", "op", "root", "tag",
-        "func_id", "t_enter", "t_leave", "_dtypes", "_funcs",
-    )
-
-    def __init__(self, dtypes: _Interner, funcs: _Interner) -> None:
-        self.kind: list[int] = []
-        self.peer: list[int] = []
-        self.count: list[int] = []
-        self.dtype_id: list[int] = []
-        self.op: list[int] = []
-        self.root: list[int] = []
-        self.tag: list[int] = []
-        self.func_id: list[int] = []
-        self.t_enter: list[float] = []
-        self.t_leave: list[float] = []
-        self._dtypes = dtypes
-        self._funcs = funcs
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-    def add_p2p(
-        self,
-        direction: Direction,
-        peer: int,
-        count: int,
-        dtype: str,
-        func: str,
-        tag: int,
-        t_enter: float,
-        t_leave: float,
-    ) -> None:
-        self.kind.append(_KIND_OF_DIRECTION[direction])
-        self.peer.append(peer)
-        self.count.append(count)
-        self.dtype_id.append(self._dtypes(dtype))
-        self.op.append(-1)
-        self.root.append(0)
-        self.tag.append(tag)
-        self.func_id.append(self._funcs(func))
-        self.t_enter.append(t_enter)
-        self.t_leave.append(t_leave)
-
-    def add_collective(
-        self,
-        op: CollectiveOp,
-        count: int,
-        dtype: str,
-        root: int,
-        t_enter: float,
-        t_leave: float,
-    ) -> None:
-        self.kind.append(KIND_COLLECTIVE)
-        self.peer.append(-1)
-        self.count.append(count)
-        self.dtype_id.append(self._dtypes(dtype))
-        self.op.append(OP_CODE[op])
-        self.root.append(root)
-        self.tag.append(0)
-        self.func_id.append(-1)
-        self.t_enter.append(t_enter)
-        self.t_leave.append(t_leave)
-
-    def to_block(self, rank: int) -> EventBlock:
-        k = len(self)
-        return EventBlock(
-            kind=np.array(self.kind, dtype=np.uint8),
-            caller=np.full(k, rank, dtype=np.int64),
-            peer=np.array(self.peer, dtype=np.int64),
-            count=np.array(self.count, dtype=np.int64),
-            dtype_id=np.array(self.dtype_id, dtype=np.int32),
-            op=np.array(self.op, dtype=np.int16),
-            root=np.array(self.root, dtype=np.int64),
-            comm_id=np.zeros(k, dtype=np.int32),
-            tag=np.array(self.tag, dtype=np.int64),
-            func_id=np.array(self.func_id, dtype=np.int16),
-            repeat=np.ones(k, dtype=np.int64),
-            t_enter=np.array(self.t_enter, dtype=np.float64),
-            t_leave=np.array(self.t_leave, dtype=np.float64),
-            dtype_names=self._dtypes.names() or ("MPI_BYTE",),
-            comm_names=("MPI_COMM_WORLD",),
-            func_names=self._funcs.names(),
-        )
 
 
 def _first(record: _Record, *keys: str, default: int | None = None) -> int | None:
@@ -217,38 +118,57 @@ def _check_comm(record: _Record, strict: bool) -> bool:
 
 def _parse_columns(
     stream: TextIO | Iterable[str],
-    columns: _Columns,
+    rank: int,
+    builder: BlockBuilder,
+    lines: list[int],
     strict: bool,
+    source: str | None = None,
 ) -> tuple[float, float]:
-    """Decode one rank's dumpi2ascii text into ``columns``.
+    """Decode one rank's dumpi2ascii text into ``builder`` rows.
 
-    Returns ``(first_walltime, last_walltime)``.
+    Appends each row's source line to ``lines`` and returns
+    ``(first_walltime, last_walltime)``.
     """
     t_min = float("inf")
     t_max = float("-inf")
     current: _Record | None = None
-
-    for line in stream:
-        line = line.rstrip("\n")
-        enter = _ENTER_RE.match(line)
-        if enter:
-            current = _Record(enter.group(1), float(enter.group(2)))
-            t_min = min(t_min, current.t_enter)
-            continue
-        ret = _RETURN_RE.match(line)
-        if ret and current is not None and ret.group(1) == current.func:
-            current.t_leave = float(ret.group(2))
-            t_max = max(t_max, current.t_leave)
-            _translate(current, columns, strict)
-            current = None
-            continue
+    lineno = 0
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            call = _CALL_RE.match(line)
+            if call:
+                func, phase, walltime = call.groups()
+                if walltime is None:
+                    raise ValueError(f"malformed {func} {phase} line")
+                t = float(walltime)
+                if phase == "entering":
+                    if current is not None:
+                        lineno = current.line
+                        raise ValueError(f"{current.func} record never returns")
+                    current = _Record(func, lineno, t)
+                    t_min = min(t_min, t)
+                elif current is not None and func == current.func:
+                    current.t_leave = t
+                    t_max = max(t_max, t)
+                    lineno = current.line  # field errors name the record
+                    if _translate(current, rank, builder, strict):
+                        lines.append(current.line)
+                    current = None
+                continue
+            if current is not None:
+                field = _FIELD_RE.match(line)
+                if field:
+                    key, value, name = field.group(1), int(field.group(2)), field.group(3)
+                    current.ints[key] = value
+                    if name:
+                        current.names[key] = name
         if current is not None:
-            field = _FIELD_RE.match(line)
-            if field:
-                key, value, name = field.group(1), int(field.group(2)), field.group(3)
-                current.ints[key] = value
-                if name:
-                    current.names[key] = name
+            lineno = current.line
+            raise ValueError(f"{current.func} record never returns")
+    except UnsupportedCommunicatorError:
+        raise
+    except ValueError as err:
+        raise ParseError(lineno, str(err), source) from None
     if t_min > t_max:
         t_min = t_max = 0.0
     return t_min, t_max
@@ -265,62 +185,63 @@ def parse_rank_stream(
     given caller rank; receives are kept (they do not inject traffic but
     complete the record, as in real traces).
     """
-    columns = _Columns(_Interner(), _Interner())
-    t_min, t_max = _parse_columns(stream, columns, strict)
-    return columns.to_block(rank).to_events(), t_min, t_max
+    builder = BlockBuilder()
+    t_min, t_max = _parse_columns(stream, rank, builder, [], strict)
+    return builder.to_block().to_events(), t_min, t_max
 
 
-def _translate(record: _Record, columns: _Columns, strict: bool) -> None:
-    """Decode one assembled record into the columns (or skip it)."""
+def _translate(
+    record: _Record, rank: int, builder: BlockBuilder, strict: bool
+) -> bool:
+    """Decode one assembled record into a builder row; False if skipped."""
     func = record.func
     if func in P2P_CALLS:
         if not _check_comm(record, strict):
-            return
+            return False
         direction = P2P_CALLS[func]
         peer_key = "dest" if direction is Direction.SEND else "source"
         peer = _first(record, peer_key, "dest", "source")
-        count = _first(record, "count", default=0)
-        if peer is None or peer < 0:  # MPI_ANY_SOURCE etc.
-            return
-        columns.add_p2p(
-            direction=direction,
-            peer=int(peer),
-            count=int(count or 0),
-            dtype=record.names.get("datatype", "MPI_BYTE"),
-            func=func,
-            tag=int(_first(record, "tag", default=0) or 0),
+        count = _first(record, "count")
+        if peer is None or count is None:
+            raise ValueError(f"{func} record lacks its {peer_key} or count field")
+        if peer < 0:  # MPI_ANY_SOURCE etc.
+            return False
+        builder.add_p2p(
+            direction,
+            rank,
+            peer,
+            count,
+            record.names.get("datatype", "MPI_BYTE"),
+            func,
+            int(_first(record, "tag", default=0) or 0),
             t_enter=record.t_enter,
             t_leave=record.t_leave,
         )
-        return
+        return True
     op = _COLLECTIVE_BY_NAME.get(func)
-    if op is not None:
-        if not _check_comm(record, strict):
-            return
-        count = _first(
-            record, "sendcount", "count", "recvcount", "sendcounts", default=0
-        )
-        dtype = record.names.get(
-            "sendtype", record.names.get("datatype", "MPI_BYTE")
-        )
-        if op is CollectiveOp.BARRIER:
-            count = 0
-        columns.add_collective(
-            op=op,
-            count=max(int(count or 0), 0),
-            dtype=dtype,
-            root=int(_first(record, "root", default=0) or 0),
-            t_enter=record.t_enter,
-            t_leave=record.t_leave,
-        )
-    # anything else: bookkeeping calls (Comm_rank, Wait, Init, ...) carry
-    # no traffic
-
-
-def load_rank_file(path: str | Path, rank: int, strict: bool = True):
-    """Parse one per-rank dumpi2ascii file."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_rank_stream(fh, rank, strict)
+    if op is None:
+        # bookkeeping calls (Comm_rank, Wait, Init, ...) carry no traffic
+        return False
+    if not _check_comm(record, strict):
+        return False
+    count = _first(
+        record, "sendcount", "count", "recvcount", "sendcounts", default=0
+    )
+    dtype = record.names.get(
+        "sendtype", record.names.get("datatype", "MPI_BYTE")
+    )
+    if op is CollectiveOp.BARRIER:
+        count = 0
+    builder.add_collective(
+        op,
+        rank,
+        max(int(count or 0), 0),
+        dtype,
+        int(_first(record, "root", default=0) or 0),
+        t_enter=record.t_enter,
+        t_leave=record.t_leave,
+    )
+    return True
 
 
 def _rank_files(directory: Path) -> dict[int, Path]:
@@ -341,12 +262,30 @@ def _rank_files(directory: Path) -> dict[int, Path]:
     return rank_files
 
 
-def _parse_rank(path: Path, strict: bool) -> tuple[_Columns, float, float]:
-    """Decode one rank file into fresh columns (file-local name tables)."""
-    columns = _Columns(_Interner(), _Interner())
+def _parse_rank_file(
+    path: Path, rank: int, builder: BlockBuilder, lines: list[int], strict: bool
+) -> tuple[float, float]:
+    """Decode one rank file into ``builder`` (see :func:`_parse_columns`)."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lo, hi = _parse_columns(fh, columns, strict)
-    return columns, lo, hi
+        return _parse_columns(fh, rank, builder, lines, strict, path.name)
+
+
+def _check_rows(
+    block: EventBlock, num_ranks: int, lines: list[int], rank_files: dict[int, Path]
+) -> None:
+    """Validate decoded rows; a bad row names its rank file and line."""
+    try:
+        block.check(num_ranks, _WORLD_COMMS)
+    except RowError as err:
+        rank = int(block.caller[err.row])
+        raise ParseError(lines[err.row], str(err), rank_files[rank].name) from None
+
+
+def _shifted(block: EventBlock, offset: float) -> EventBlock:
+    """``block`` with ``offset`` subtracted from its walltimes."""
+    return replace(
+        block, t_enter=block.t_enter - offset, t_leave=block.t_leave - offset
+    )
 
 
 def load_dumpi2ascii_dir(
@@ -359,74 +298,32 @@ def load_dumpi2ascii_dir(
     Files are matched by the ``<prefix>-<rank>.txt`` convention; the rank
     count is the number of files, the execution time the span between the
     earliest and latest walltime across ranks.  The result is a block-native
-    trace: per-rank columns are concatenated, stably sorted by enter time,
-    and normalized to start at walltime zero.
+    trace: every rank's rows go into one builder, then are stably sorted by
+    enter time and normalized to start at walltime zero.
     """
     directory = Path(directory)
     rank_files = _rank_files(directory)
     num_ranks = len(rank_files)
 
-    dtypes = _Interner()
-    funcs = _Interner()
-    blocks: list[EventBlock] = []
+    builder = BlockBuilder()
+    lines: list[int] = []
     t_min = float("inf")
     t_max = float("-inf")
     for rank in range(num_ranks):
-        columns = _Columns(dtypes, funcs)
-        with open(
-            rank_files[rank], "r", encoding="utf-8", errors="replace"
-        ) as fh:
-            lo, hi = _parse_columns(fh, columns, strict)
-        if len(columns):
-            blocks.append(columns.to_block(rank))
+        rows = len(builder)
+        lo, hi = _parse_rank_file(rank_files[rank], rank, builder, lines, strict)
+        if len(builder) > rows:
             t_min = min(t_min, lo)
             t_max = max(t_max, hi)
     duration = max(t_max - t_min, 1e-9) if t_min <= t_max else 1e-9
 
     meta = TraceMetadata(app=app, num_ranks=num_ranks, execution_time=duration)
-    if not blocks:
-        return Trace(meta)
-
-    # Merge the per-rank columns (they share the interner tables), stable
-    # sort by enter time, normalize walltimes to start at zero.
-    merged = EventBlock(
-        kind=np.concatenate([b.kind for b in blocks]),
-        caller=np.concatenate([b.caller for b in blocks]),
-        peer=np.concatenate([b.peer for b in blocks]),
-        count=np.concatenate([b.count for b in blocks]),
-        dtype_id=np.concatenate([b.dtype_id for b in blocks]),
-        op=np.concatenate([b.op for b in blocks]),
-        root=np.concatenate([b.root for b in blocks]),
-        comm_id=np.concatenate([b.comm_id for b in blocks]),
-        tag=np.concatenate([b.tag for b in blocks]),
-        func_id=np.concatenate([b.func_id for b in blocks]),
-        repeat=np.concatenate([b.repeat for b in blocks]),
-        t_enter=np.concatenate([b.t_enter for b in blocks]),
-        t_leave=np.concatenate([b.t_leave for b in blocks]),
-        dtype_names=dtypes.names() or ("MPI_BYTE",),
-        comm_names=("MPI_COMM_WORLD",),
-        func_names=funcs.names(),
+    block = builder.to_block()
+    _check_rows(block, num_ranks, lines, rank_files)
+    order = np.argsort(block.t_enter, kind="stable")
+    return Trace.from_blocks(
+        meta, [_shifted(block.take(order), t_min)], validate=False
     )
-    order = np.argsort(merged.t_enter, kind="stable")
-    sorted_block = EventBlock(
-        kind=merged.kind[order],
-        caller=merged.caller[order],
-        peer=merged.peer[order],
-        count=merged.count[order],
-        dtype_id=merged.dtype_id[order],
-        op=merged.op[order],
-        root=merged.root[order],
-        comm_id=merged.comm_id[order],
-        tag=merged.tag[order],
-        func_id=merged.func_id[order],
-        repeat=merged.repeat[order],
-        t_enter=merged.t_enter[order] - t_min,
-        t_leave=merged.t_leave[order] - t_min,
-        dtype_names=merged.dtype_names,
-        comm_names=merged.comm_names,
-        func_names=merged.func_names,
-    )
-    return Trace.from_blocks(meta, [sorted_block])
 
 
 def stream_dumpi2ascii_dir(
@@ -441,8 +338,8 @@ def stream_dumpi2ascii_dir(
     file at a time and emits its records as byte-bounded chunks, so peak
     memory is one rank's decoded columns plus one chunk — the
     whole-directory trace is never materialized.  The directory is parsed
-    twice: once up front for the walltime extent the metadata needs, and
-    once more per consuming pass.
+    twice: once up front for the walltime extent the metadata needs (and
+    to validate every row), and once more per consuming pass.
 
     The one intentional difference from the in-memory loader: records are
     *not* globally time-sorted — they arrive rank-major, chronological
@@ -461,32 +358,30 @@ def stream_dumpi2ascii_dir(
 
     t_min = float("inf")
     t_max = float("-inf")
+    bad_row: ParseError | None = None
     for rank in range(num_ranks):
-        columns, lo, hi = _parse_rank(rank_files[rank], strict)
-        if len(columns):
+        builder = BlockBuilder()
+        lines: list[int] = []
+        lo, hi = _parse_rank_file(rank_files[rank], rank, builder, lines, strict)
+        if len(builder):
+            try:
+                _check_rows(builder.to_block(), num_ranks, lines, rank_files)
+            except ParseError as err:
+                bad_row = bad_row or err
             t_min = min(t_min, lo)
             t_max = max(t_max, hi)
+    if bad_row is not None:
+        # Raised once every file parsed, in the in-memory loader's order.
+        raise bad_row
     duration = max(t_max - t_min, 1e-9) if t_min <= t_max else 1e-9
     offset = t_min if t_min <= t_max else 0.0
     meta = TraceMetadata(app=app, num_ranks=num_ranks, execution_time=duration)
 
     def rank_blocks():
         for rank in range(num_ranks):
-            columns, _, _ = _parse_rank(rank_files[rank], strict)
-            if not len(columns):
-                continue
-            block = columns.to_block(rank)
-            yield EventBlock(
-                **{
-                    name: getattr(block, name)
-                    for name in EventBlock._COLUMN_DTYPES
-                    if name not in ("t_enter", "t_leave")
-                },
-                t_enter=block.t_enter - offset,
-                t_leave=block.t_leave - offset,
-                dtype_names=block.dtype_names,
-                comm_names=block.comm_names,
-                func_names=block.func_names,
-            )
+            builder = BlockBuilder()
+            _parse_rank_file(rank_files[rank], rank, builder, [], strict)
+            if len(builder):
+                yield _shifted(builder.to_block(), offset)
 
     return BlockStream(meta, lambda: rechunk_blocks(rank_blocks(), chunk_bytes))

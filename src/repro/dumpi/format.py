@@ -35,6 +35,7 @@ __all__ = [
     "FORMAT_VERSION",
     "P2P_TAG",
     "COLL_TAG",
+    "ParseError",
     "format_float",
 ]
 
@@ -42,6 +43,19 @@ MAGIC = "%repro-dumpi"
 FORMAT_VERSION = 1
 P2P_TAG = "P2P"
 COLL_TAG = "COLL"
+
+
+class ParseError(ValueError):
+    """A malformed trace file, with the offending line number.
+
+    ``source`` names the file when one trace spans several (the
+    dumpi2ascii rank files).
+    """
+
+    def __init__(self, lineno: int, message: str, source: str | None = None) -> None:
+        where = f"line {lineno}: {message}"
+        super().__init__(f"{source}: {where}" if source else where)
+        self.lineno = lineno
 
 
 def format_float(x: float) -> str:

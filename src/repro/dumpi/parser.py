@@ -4,6 +4,13 @@ The parser is strict about structure (magic line, required header fields,
 known record tags) but tolerant about record order and unknown datatypes —
 an unknown datatype name resolves through the registry's opaque 1-byte
 convention, exactly how the paper treats underdocumented derived types.
+
+Records go straight into one :class:`~repro.core.blocks.BlockBuilder`, so
+the parsed trace is block-native and no per-record event object is made.
+Every malformed line raises :class:`ParseError` naming its line number;
+a record that breaks a trace invariant (a rank out of range, a negative
+count, a barrier with a payload, ...) is caught by
+:meth:`~repro.core.blocks.EventBlock.check` and mapped back to its line.
 """
 
 from __future__ import annotations
@@ -12,58 +19,104 @@ import io
 from pathlib import Path
 from typing import TextIO
 
-from ..core.communicator import Communicator
-from ..core.datatypes import MPIDatatype
-from ..core.events import CollectiveEvent, CollectiveOp, P2P_CALLS, P2PEvent
+from ..core.blocks import BlockBuilder, RowError
+from ..core.communicator import Communicator, CommunicatorTable
+from ..core.datatypes import DatatypeRegistry, MPIDatatype
+from ..core.events import CollectiveOp, P2P_CALLS
 from ..core.trace import Trace, TraceMetadata
-from .format import COLL_TAG, FORMAT_VERSION, MAGIC, P2P_TAG
+from .format import COLL_TAG, FORMAT_VERSION, MAGIC, P2P_TAG, ParseError
 
 __all__ = ["ParseError", "read_trace", "load_trace", "loads_trace"]
 
 _OPS_BY_NAME = {op.value: op for op in CollectiveOp}
 
 
-class ParseError(ValueError):
-    """A malformed repro-dumpi trace, with the offending line number."""
-
-    def __init__(self, lineno: int, message: str) -> None:
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
-def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
+def _parse_kv(parts: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for part in parts:
         if "=" not in part:
-            raise ParseError(lineno, f"expected key=value, got {part!r}")
+            raise ValueError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
         out[key] = value
     return out
 
 
-def _require(kv: dict[str, str], key: str, lineno: int) -> str:
+def _require(kv: dict[str, str], key: str) -> str:
     try:
         return kv[key]
     except KeyError:
-        raise ParseError(lineno, f"missing required field {key!r}") from None
+        raise ValueError(f"missing required field {key!r}") from None
 
 
-def _parse_times(kv: dict[str, str], lineno: int) -> tuple[float, float]:
+def _parse_times(kv: dict[str, str]) -> tuple[float, float]:
     raw = kv.get("t", "0,0")
     try:
         enter_s, leave_s = raw.split(",")
         return float(enter_s), float(leave_s)
     except ValueError:
-        raise ParseError(lineno, f"malformed timestamp pair {raw!r}") from None
+        raise ValueError(f"malformed timestamp pair {raw!r}") from None
+
+
+def _add_record(builder: BlockBuilder, parts: list[str]) -> None:
+    """Decode one record line into a builder row."""
+    tag = parts[0]
+    if tag not in (P2P_TAG, COLL_TAG):
+        raise ValueError(f"unknown record tag {tag!r}")
+    if len(parts) < 2:
+        raise ValueError(f"truncated {tag} record")
+    func = parts[1]
+    kv = _parse_kv(parts[2:])
+    t_enter, t_leave = _parse_times(kv)
+    if tag == P2P_TAG:
+        direction = P2P_CALLS.get(func)
+        if direction is None:
+            raise ValueError(f"unknown p2p function {func!r}")
+        builder.add_p2p(
+            direction,
+            int(_require(kv, "caller")),
+            int(_require(kv, "peer")),
+            int(_require(kv, "count")),
+            _require(kv, "dtype"),
+            func,
+            int(kv.get("tag", "0")),
+            kv.get("comm", "MPI_COMM_WORLD"),
+            t_enter,
+            t_leave,
+            int(kv.get("repeat", "1")),
+        )
+    else:
+        op = _OPS_BY_NAME.get(func)
+        if op is None:
+            raise ValueError(f"unknown collective {func!r}")
+        builder.add_collective(
+            op,
+            int(_require(kv, "caller")),
+            int(kv.get("count", "0")),
+            kv.get("dtype", "MPI_BYTE"),
+            int(kv.get("root", "0")),
+            kv.get("comm", "MPI_COMM_WORLD"),
+            t_enter,
+            t_leave,
+            int(kv.get("repeat", "1")),
+        )
+
+
+def _positive(header: dict[str, tuple[str, int]], key: str, convert):
+    """A required positive number header; errors name its line."""
+    if key not in header:
+        raise ParseError(1, f"missing %{key} header")
+    raw, lineno = header[key]
+    try:
+        value = convert(raw)
+    except ValueError:
+        value = 0
+    if not value > 0:
+        raise ParseError(lineno, f"%{key} must be a positive number, got {raw!r}")
+    return value
 
 
 def read_trace(stream: TextIO) -> Trace:
     """Parse one trace from an open text stream."""
-    header: dict[str, str] = {}
-    dtypes: list[tuple[str, int]] = []
-    comms: list[tuple[str, tuple[int, ...]]] = []
-    records: list[tuple[int, list[str]]] = []
-
     first = stream.readline()
     if not first.startswith(MAGIC):
         raise ParseError(1, f"not a repro-dumpi trace (expected {MAGIC!r} magic)")
@@ -74,91 +127,57 @@ def read_trace(stream: TextIO) -> Trace:
     if version != FORMAT_VERSION:
         raise ParseError(1, f"unsupported format version {version}")
 
-    for lineno, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("%"):
-            parts = line[1:].split()
-            key = parts[0]
-            if key == "dtype":
-                kv = _parse_kv(parts[2:], lineno)
-                dtypes.append((parts[1], int(_require(kv, "size", lineno))))
-            elif key == "comm":
-                kv = _parse_kv(parts[2:], lineno)
-                members = tuple(
-                    int(x) for x in _require(kv, "members", lineno).split(",")
-                )
-                comms.append((parts[1], members))
+    header: dict[str, tuple[str, int]] = {}
+    datatypes = DatatypeRegistry()
+    comms: list[tuple[int, str, tuple[int, ...]]] = []
+    builder = BlockBuilder()
+    lines: list[int] = []  # source line of each builder row
+    lineno = 1
+    try:
+        for lineno, line in enumerate(stream, start=2):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("%"):
+                parts = line[1:].split()
+                key = parts[0]
+                if key == "dtype":
+                    size = int(_require(_parse_kv(parts[2:]), "size"))
+                    datatypes.commit(MPIDatatype(parts[1], size, derived=True))
+                elif key == "comm":
+                    members = _require(_parse_kv(parts[2:]), "members")
+                    comms.append(
+                        (lineno, parts[1], tuple(int(x) for x in members.split(",")))
+                    )
+                else:
+                    header[key] = (parts[1] if len(parts) > 1 else "", lineno)
             else:
-                header[key] = parts[1] if len(parts) > 1 else ""
-        else:
-            records.append((lineno, line.split()))
+                _add_record(builder, line.split())
+                lines.append(lineno)
 
-    for key in ("app", "ranks", "time"):
-        if key not in header:
-            raise ParseError(1, f"missing %{key} header")
-    meta = TraceMetadata(
-        app=header["app"],
-        num_ranks=int(header["ranks"]),
-        execution_time=float(header["time"]),
-        variant=header.get("variant", ""),
-        uses_derived_types=header.get("derived", "0") == "1",
-    )
-    trace = Trace(meta)
-    for name, size in dtypes:
-        trace.datatypes.commit(MPIDatatype(name, size, derived=True))
-    assert trace.communicators is not None
-    for name, members in comms:
-        trace.communicators.add(Communicator(name, members))
+        if "app" not in header:
+            raise ParseError(1, "missing %app header")
+        meta = TraceMetadata(
+            app=header["app"][0],
+            num_ranks=_positive(header, "ranks", int),
+            execution_time=_positive(header, "time", float),
+            variant=header.get("variant", ("", 0))[0],
+            uses_derived_types=header.get("derived", ("0", 0))[0] == "1",
+        )
+        communicators = CommunicatorTable.for_world(meta.num_ranks)
+        for lineno, name, members in comms:
+            communicators.add(Communicator(name, members))
+    except ParseError:
+        raise
+    except IndexError:
+        raise ParseError(lineno, "truncated line") from None
+    except ValueError as err:
+        raise ParseError(lineno, str(err)) from None
 
-    for lineno, parts in records:
-        tag = parts[0]
-        if tag == P2P_TAG:
-            func = parts[1]
-            direction = P2P_CALLS.get(func)
-            if direction is None:
-                raise ParseError(lineno, f"unknown p2p function {func!r}")
-            kv = _parse_kv(parts[2:], lineno)
-            t_enter, t_leave = _parse_times(kv, lineno)
-            trace.add(
-                P2PEvent(
-                    caller=int(_require(kv, "caller", lineno)),
-                    peer=int(_require(kv, "peer", lineno)),
-                    count=int(_require(kv, "count", lineno)),
-                    dtype=_require(kv, "dtype", lineno),
-                    direction=direction,
-                    func=func,
-                    tag=int(kv.get("tag", "0")),
-                    comm=kv.get("comm", "MPI_COMM_WORLD"),
-                    t_enter=t_enter,
-                    t_leave=t_leave,
-                    repeat=int(kv.get("repeat", "1")),
-                )
-            )
-        elif tag == COLL_TAG:
-            func = parts[1]
-            op = _OPS_BY_NAME.get(func)
-            if op is None:
-                raise ParseError(lineno, f"unknown collective {func!r}")
-            kv = _parse_kv(parts[2:], lineno)
-            t_enter, t_leave = _parse_times(kv, lineno)
-            trace.add(
-                CollectiveEvent(
-                    caller=int(_require(kv, "caller", lineno)),
-                    op=op,
-                    count=int(kv.get("count", "0")),
-                    dtype=kv.get("dtype", "MPI_BYTE"),
-                    root=int(kv.get("root", "0")),
-                    comm=kv.get("comm", "MPI_COMM_WORLD"),
-                    t_enter=t_enter,
-                    t_leave=t_leave,
-                    repeat=int(kv.get("repeat", "1")),
-                )
-            )
-        else:
-            raise ParseError(lineno, f"unknown record tag {tag!r}")
-    return trace
+    try:
+        return Trace.from_blocks(meta, [builder.to_block()], datatypes, communicators)
+    except RowError as err:
+        raise ParseError(lines[err.row], str(err)) from None
 
 
 def load_trace(path: str | Path) -> Trace:

@@ -28,7 +28,7 @@ ascending and complete.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,24 +179,7 @@ def _remap_block(
     if p2p.any():
         peer = peer.copy()
         peer[p2p] = gmap[block.peer[p2p]]
-    return EventBlock(
-        kind=block.kind,
-        caller=gmap[block.caller],
-        peer=peer,
-        count=block.count,
-        dtype_id=block.dtype_id,
-        op=block.op,
-        root=block.root,
-        comm_id=block.comm_id,
-        tag=block.tag,
-        func_id=block.func_id,
-        repeat=block.repeat,
-        t_enter=block.t_enter,
-        t_leave=block.t_leave,
-        dtype_names=block.dtype_names,
-        comm_names=comm_names,
-        func_names=block.func_names,
-    )
+    return replace(block, caller=gmap[block.caller], peer=peer, comm_names=comm_names)
 
 
 def compose_workload(

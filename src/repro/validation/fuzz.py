@@ -6,6 +6,8 @@ through each pair of interchangeable implementations the repo maintains:
 
 - **trace front-ends**: columnar (EventBlock) vs per-event generation must
   be bit-identical (traces and the matrices built from them);
+- **serialization**: a repro-dumpi write and parse must give back the
+  generated trace and its p2p and full matrices bit for bit;
 - **simulation engines**: batched NumPy kernel vs reference heap loop must
   agree on every observable and produce bitwise-equal telemetry;
 - **cache tiers**: a cold compute vs a disk-cache reload must return the
@@ -29,6 +31,8 @@ import numpy as np
 
 from ..apps.registry import get_app, iter_configurations
 from ..comm.matrix import matrix_from_trace
+from ..dumpi.parser import loads_trace
+from ..dumpi.writer import dumps_trace
 from ..mapping.base import Mapping
 from ..routing import ROUTINGS
 from ..telemetry import TelemetryConfig, reports_equal
@@ -210,6 +214,21 @@ def run_case(
         outcome.discrepancies.append(
             "matrices built from columnar vs per-event traces differ"
         )
+
+    # Serialization: the repro-dumpi writer and parser must round-trip it.
+    parsed = loads_trace(dumps_trace(trace))
+    if not traces_identical(trace, parsed):
+        outcome.discrepancies.append(
+            "repro-dumpi round trip changes the trace"
+        )
+    for collectives in (False, True):
+        if not matrices_identical(
+            matrix_from_trace(trace, include_collectives=collectives),
+            matrix_from_trace(parsed, include_collectives=collectives),
+        ):
+            outcome.discrepancies.append(
+                "matrices built from the round-tripped trace differ"
+            )
 
     topology = build_topology(case.topology, case.ranks)
     if case.mapping == "random":

@@ -1,16 +1,23 @@
 """Tests for the dumpi2ascii converter (real SST-dumpi text output)."""
 
 import io
+import re
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.stats import trace_stats
 from repro.dumpi.ascii_dumpi import (
     UnsupportedCommunicatorError,
     load_dumpi2ascii_dir,
     parse_rank_stream,
+    stream_dumpi2ascii_dir,
 )
+from repro.dumpi.format import ParseError
 
 SEND = textwrap.dedent(
     """\
@@ -171,3 +178,104 @@ class TestDirectoryLoader:
         trace = load_dumpi2ascii_dir(tmp_path, app="x")
         matrix = matrix_from_trace(trace, include_collectives=False)
         assert peers(matrix) == 1
+
+
+def _send(dest, t=10.0):
+    return (
+        f"MPI_Send entering at walltime {t:.2f}, cputime 0.1 seconds in thread 0.\n"
+        "int count=64\n"
+        "MPI_Datatype datatype=2 (MPI_CHAR)\n"
+        f"int dest={dest}\n"
+        "int tag=0\n"
+        "MPI_Comm comm=2 (MPI_COMM_WORLD)\n"
+        f"MPI_Send returning at walltime {t + 0.01:.2f}, cputime 0.1 seconds in thread 0.\n"
+    )
+
+
+def _recv(source, t=10.5):
+    return _send(source, t).replace("MPI_Send", "MPI_Recv").replace("dest=", "source=")
+
+
+#: Three valid rank files: every rank sends, receives and reduces.
+RANK_BODIES = [
+    _send(1) + _recv(2) + ALLREDUCE,
+    _send(2) + _recv(0) + ALLREDUCE,
+    _send(0) + _recv(1) + ALLREDUCE + BOOKKEEPING,
+]
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def corrupted_rank_files(draw):
+    """RANK_BODIES with one p2p record made invalid.
+
+    Returns ``(bodies, rank, first_line, last_line)``: the error must name
+    that rank's file and a line of the corrupted record.
+    """
+    rank = draw(st.integers(0, 2))
+    lines = RANK_BODIES[rank].splitlines(keepends=True)
+    first = draw(st.sampled_from((0, 7)))  # the send or the receive record
+    last = first + 6
+    how = draw(st.sampled_from(("truncate", "drop", "rank", "float")))
+    if how == "truncate":  # cut before the return line's walltime ends
+        head = "".join(lines[: first + 1])
+        body = "".join(lines[first + 1 : last + 1])
+        cut = draw(st.integers(0, body.index(",", body.index("returning"))))
+        text = head + body[:cut]
+    else:
+        if how == "drop":
+            del lines[draw(st.sampled_from((first + 1, first + 3)))]
+            last -= 1
+        elif how == "rank":
+            key = "dest" if "Send" in lines[first] else "source"
+            lines[first + 3] = f"int {key}={draw(st.integers(3, 10**6))}\n"
+        else:
+            bad = draw(
+                st.text(alphabet="0123456789.eE+-x", max_size=8).filter(
+                    lambda s: not _is_float(s)
+                )
+            )
+            at = draw(st.sampled_from((first, last)))
+            lines[at] = re.sub(r"walltime [^,]+,", f"walltime {bad},", lines[at])
+        text = "".join(lines)
+    bodies = list(RANK_BODIES)
+    bodies[rank] = text
+    return bodies, rank, first + 1, last + 1
+
+
+class TestCorruptedRankFiles:
+    def test_valid_base_loads(self, tmp_path):
+        for rank, body in enumerate(RANK_BODIES):
+            (tmp_path / f"dumpi-2020-{rank:04d}.txt").write_text(body)
+        trace = load_dumpi2ascii_dir(tmp_path, app="x")
+        assert len(trace) == 9 and trace.has_native_blocks
+
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted_rank_files())
+    def test_corruption_names_file_and_line(self, case):
+        bodies, rank, first, last = case
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for r, body in enumerate(bodies):
+                (directory / f"dumpi-2020-{r:04d}.txt").write_text(body)
+            for load in (load_dumpi2ascii_dir, stream_dumpi2ascii_dir):
+                with pytest.raises(ParseError) as err:
+                    load(directory, app="x")
+                assert str(err.value).startswith(f"dumpi-2020-{rank:04d}.txt: line ")
+                assert first <= err.value.lineno <= last
+
+    def test_out_of_range_dest_names_file_and_line(self, tmp_path):
+        (tmp_path / "dumpi-2020-0000.txt").write_text(BOOKKEEPING + _send(1))
+        (tmp_path / "dumpi-2020-0001.txt").write_text(_send(0) + _send(7))
+        with pytest.raises(ParseError) as err:
+            load_dumpi2ascii_dir(tmp_path, app="x")
+        assert str(err.value) == (
+            "dumpi-2020-0001.txt: line 8: event peer 7 out of range for 2-rank trace"
+        )

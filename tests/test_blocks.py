@@ -12,7 +12,9 @@ from repro.core.blocks import (
     KIND_P2P_SEND,
     OP_CODE,
     OPS,
+    BlockBuilder,
     EventBlock,
+    RowError,
 )
 from repro.core.communicator import CommunicatorTable
 from repro.core.events import CollectiveEvent, CollectiveOp, Direction, P2PEvent
@@ -190,3 +192,62 @@ class TestValidation:
 
     def test_valid_block_passes(self):
         self._world_block().check(4, CommunicatorTable.for_world(4))
+
+    def test_error_names_first_offending_row(self):
+        events = [
+            P2PEvent(caller=0, peer=1, count=1, dtype="MPI_BYTE"),
+            P2PEvent(caller=1, peer=2, count=1, dtype="MPI_BYTE"),
+            CollectiveEvent(caller=2, op=CollectiveOp.BCAST, count=4),
+        ]
+        block = EventBlock.from_events(events)
+        # Row 2 breaks a rule listed before the one row 1 breaks.
+        block = EventBlock(
+            **{
+                name: getattr(block, name)
+                for name in EventBlock._COLUMN_DTYPES
+                if name not in ("caller", "repeat")
+            },
+            caller=[0, 1, -3],
+            repeat=[1, 0, 1],
+        )
+        with pytest.raises(RowError, match="repeat must be >= 1") as err:
+            block.check(4, CommunicatorTable.for_world(4))
+        assert err.value.row == 1
+
+
+class TestBuilder:
+    def test_empty_builder_gives_empty_block(self):
+        block = BlockBuilder().to_block()
+        assert len(block) == 0
+        assert block.dtype_names == ("MPI_BYTE",)
+        assert block.comm_names == ("MPI_COMM_WORLD",)
+
+    def test_rows_and_names_in_append_order(self):
+        builder = BlockBuilder()
+        builder.add_p2p(Direction.RECV, 3, 1, 8, "MPI_INT", "MPI_Irecv", tag=5)
+        builder.add_collective(CollectiveOp.BCAST, 2, 4, "MPI_DOUBLE", 1, "HALF")
+        builder.add_p2p(Direction.SEND, 1, 3, 8, "MPI_INT", "MPI_Send", repeat=2)
+        block = builder.to_block()
+        assert block.kind.tolist() == [1, KIND_COLLECTIVE, KIND_P2P_SEND]
+        assert block.dtype_names == ("MPI_INT", "MPI_DOUBLE")
+        assert block.comm_names == ("MPI_COMM_WORLD", "HALF")
+        assert block.func_names == ("MPI_Irecv", "MPI_Send")
+        assert block.func_id.tolist() == [0, -1, 1]
+        assert block.repeat.tolist() == [1, 1, 2]
+
+    def test_oversized_integer_names_its_row(self):
+        builder = BlockBuilder()
+        builder.add_p2p(Direction.SEND, 0, 1, 8, "MPI_INT", "MPI_Send")
+        builder.add_p2p(Direction.SEND, 0, 1, 2**70, "MPI_INT", "MPI_Send")
+        with pytest.raises(RowError) as err:
+            builder.to_block()
+        assert err.value.row == 1
+
+    def test_take(self):
+        block = EventBlock.from_events(_random_events(np.random.default_rng(3), 10))
+        head = block.take(slice(2, 5))
+        assert np.shares_memory(head.count, block.count)
+        assert head.to_events() == block.to_events()[2:5]
+        picked = block.take(np.array([7, 0]))
+        events = block.to_events()
+        assert picked.to_events() == [events[7], events[0]]

@@ -227,6 +227,39 @@ class TestKeys:
         assert k1 == k2
         assert k1[0] == "trace-content"
 
+    @pytest.mark.parametrize(
+        "header, other, expected",
+        [
+            # 10 elements of a 1-byte vs a 64-byte datatype: (bytes, pairs).
+            ("%dtype BLOB size=1", "%dtype BLOB size=64", ((10, 1), (640, 1))),
+            # A flat broadcast (root included) over two vs four members.
+            (
+                "%comm SUB members=0,1",
+                "%comm SUB members=0,1,2,3",
+                ((20, 2), (40, 4)),
+            ),
+        ],
+    )
+    def test_foreign_key_covers_datatypes_and_communicators(
+        self, header, other, expected
+    ):
+        """Parsed traces differing only in a %dtype size or %comm members
+        get different keys, so cached_matrix never serves the other's."""
+        from repro.dumpi.parser import loads_trace
+
+        body = (
+            "P2P MPI_Send caller=0 peer=1 count=10 dtype=BLOB\n"
+            if "dtype" in header
+            else "COLL MPI_Bcast caller=0 count=10 dtype=MPI_BYTE root=0 comm=SUB\n"
+        )
+        traces = [
+            loads_trace(f"%repro-dumpi 1\n%app x\n%ranks 4\n%time 1.0\n{h}\n{body}")
+            for h in (header, other)
+        ]
+        assert trace_content_key(traces[0]) != trace_content_key(traces[1])
+        served = [cached_matrix(t) for t in traces]
+        assert [(int(m.nbytes.sum()), m.num_pairs) for m in served] == list(expected)
+
     def test_unfingerprinted_topology_bypasses_cache(self):
         class Opaque(Torus3D):
             """A subclass without its own fingerprint is treated as opaque

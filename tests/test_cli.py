@@ -161,6 +161,19 @@ class TestErrorPaths:
         msg = self.fail(capsys, "convert", "--dir", str(tmp_path / "nope"), "--app", "X")
         assert "error: " in msg
 
+    def test_convert_names_bad_record(self, capsys, tmp_path):
+        (tmp_path / "run-0000.txt").write_text(
+            "MPI_Send entering at walltime 10.0, cputime 0.0 seconds in thread 0.\n"
+            "int count=100\n"
+            "int dest=5\n"
+            "MPI_Send returning at walltime 10.1, cputime 0.1 seconds in thread 0.\n"
+        )
+        (tmp_path / "run-0001.txt").write_text("")
+        msg = self.fail(capsys, "convert", "--dir", str(tmp_path), "--app", "x")
+        assert msg == (
+            "error: run-0000.txt: line 1: event peer 5 out of range for 2-rank trace"
+        )
+
     @pytest.mark.parametrize("rank", ["999", "64", "-1"])
     def test_figure1_rank_out_of_range(self, capsys, rank):
         msg = self.fail(capsys, "figure1", "--app", "LULESH", "--ranks", "64", "--rank", rank)

@@ -298,6 +298,22 @@ class TestFuzz:
         assert fuzz_mod.run_case(case, target_packets=2_000).ok
         assert False in native
 
+    def test_repro_dumpi_roundtrip_leg_runs(self, monkeypatch):
+        """A writer that loses a record is caught by the serialization leg."""
+        from repro.validation import fuzz as fuzz_mod
+
+        real = fuzz_mod.dumps_trace
+        monkeypatch.setattr(
+            fuzz_mod, "dumps_trace", lambda trace: real(trace).rsplit("\n", 2)[0] + "\n"
+        )
+        case = FuzzCase(
+            seed=0, app="BigFFT", ranks=9, variant="", topology="torus3d",
+            routing="minimal", mapping="consecutive",
+            trace_seed=0, routing_seed=0, sim_seed=0,
+        )
+        outcome = fuzz_mod.run_case(case, target_packets=2_000)
+        assert "repro-dumpi round trip changes the trace" in outcome.discrepancies
+
     def test_shrinker_finds_minimal_failing_case(self, monkeypatch):
         """With a planted bug in (dragonfly, valiant), the shrinker keeps
         those two dimensions and minimizes everything else."""
